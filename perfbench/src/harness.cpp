@@ -285,7 +285,7 @@ const std::vector<std::pair<std::string, std::string>>& per_layer_metrics() {
                        {"exec.bind_reuse_frac", "frac"},
                        {"exec.skeleton_builds", "count"},
                        {"core.dispatch_eff", "frac"},
-                       // serve-closed
+                       // serve census (traced sweep-gradient)
                        {"serve.inproc_us", "us"},
                        {"serve.codec_us", "us"},
                        {"serve.gap_us", "us"},

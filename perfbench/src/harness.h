@@ -203,13 +203,17 @@ HostCeilings probe_host_in_child(const std::string& self);
 /// in BENCHMARK.json.
 Outcome run_run_large(const Options& options);
 Outcome run_sweep_gradient(const Options& options);
-Outcome run_serve_closed(const Options& options);
 
 /// Compiles every Table-I family on `config`'s cluster shape, once
 /// through Session::compile and once phase by phase under spans, checks
 /// both plans agree and verify, and sets the compile per-layer metrics.
 void compile_census(const atlas::SessionConfig& config, const Options& options,
                     Outcome& out);
+
+/// Serves closed-loop run requests of two clients from an in-process
+/// serve::Server, checks every reply against an in-process run, and sets
+/// the serve per-layer metrics.
+void serve_census(const Options& options, Outcome& out);
 
 /// Every per-layer metric name the benchmark defines, with its unit.
 /// A traced run prints all of them; a metric whose layer the

@@ -22,8 +22,8 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload run-large|sweep-gradient|"
-               "serve-closed --seed N --seconds S --trace 0|1 "
+               "usage: perfbench --workload run-large|sweep-gradient "
+               "--seed N --seconds S --trace 0|1 "
                "[--max-ops K] [--span-dir DIR]\n       perfbench --host-probe\n");
   return 2;
 }
@@ -82,7 +82,6 @@ int run(int argc, char** argv) {
   Outcome (*workload)(const Options&) = nullptr;
   if (options.workload == "run-large") workload = run_run_large;
   if (options.workload == "sweep-gradient") workload = run_sweep_gradient;
-  if (options.workload == "serve-closed") workload = run_serve_closed;
   if (workload == nullptr) return usage();
 
   const HostCeilings start = probe_host_in_child(argv[0]);

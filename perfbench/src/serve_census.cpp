@@ -1,11 +1,20 @@
-// serve-closed: an in-process serve::Server on loopback with
+// The serve census: an in-process serve::Server on loopback with
 // ServerConfig defaults (2 workers). Two client threads each hold one
 // connection and one tenant session (L=6, R=1, G=1), submit and compile
-// the same 8-qubit, 24-symbol ansatz once, then loop on run requests
-// with values from (seed, client, i). One op is one request, timed at
-// the client from send to decoded reply: a closed loop, because
-// variational clients wait for each result before choosing the next
-// point.
+// the same 8-qubit, 24-symbol ansatz once, then make closed-loop run
+// requests with values from (seed, client, i). Each request's codec and
+// network legs are spans; the server's side of the codec and an
+// in-process Session::run of the same request are timed after it on the
+// same thread, and the reply must be bit-identical to that run. It gives
+// the serve layer's per-layer metrics; sweep-gradient's traced runs take
+// it, since variational clients are who the server serves.
+//
+// The round trip is not an end-to-end metric of the benchmark: on a
+// shared 4-core host a sub-millisecond round trip through three thread
+// wake-ups is at the mercy of the host's scheduler. Over ten runs of the
+// same code, the middle half spread its p50 by a sixth of the median and
+// its throughput by a fifth, even taken as medians over one-second
+// slices of each run, and its p90 by a quarter in pooled form.
 
 #include <cstdio>
 #include <memory>
@@ -30,8 +39,9 @@ constexpr int kClients = 2;
 constexpr int kQubits = 8;
 constexpr int kSymbols = 24;
 constexpr double kPi = 3.14159265358979323846;
-/// Set-up takes a few milliseconds; its median needs many repetitions.
-constexpr int kSetups = 25;
+/// Requests per client: enough for a steady p50 round trip, short next
+/// to the sweep-gradient window.
+constexpr std::size_t kRequests = 4000;
 
 /// One ry layer, then 2 x {cx chain, rz layer}; symbols a00..a23.
 std::string ansatz_qasm() {
@@ -135,15 +145,6 @@ Deployment deploy(const std::string& qasm) {
   return d;
 }
 
-/// Per-client record of one window: latency and reply digest per
-/// request, in request order.
-struct ClientLog {
-  std::vector<double> us;
-  std::vector<std::uint64_t> digest;
-  std::int64_t failed = 0;
-  std::string error;
-};
-
 const serve::MetricEntry* find_metric(const serve::MetricsReply& m,
                                       const std::string& name) {
   for (const serve::MetricEntry& e : m.metrics)
@@ -158,77 +159,27 @@ double counter(const serve::MetricsReply& m, const std::string& name) {
 
 }  // namespace
 
-Outcome run_serve_closed(const Options& options) {
-  Outcome out;
+void serve_census(const Options& options, Outcome& out) {
   const std::string qasm = ansatz_qasm();
-  std::vector<double> setups;
-  Deployment dep;
-  for (int rep = 0; rep < kSetups; ++rep) {
-    if (dep.server) {
-      dep.tenants.clear();
-      dep.server->stop();
-      dep.server.reset();
-    }
-    const std::int64_t t0 = now_ns();
-    dep = deploy(qasm);
-    setups.push_back(static_cast<double>(now_ns() - t0) / 1e9);
-  }
+  const Deployment dep = deploy(qasm);
   const qasm::NoisyParse parsed = qasm::parse_with_noise(qasm);
-  serve::MetricsReply before;
-  if (options.trace) before = dep.tenants[0].client->metrics();
+  const serve::MetricsReply before = dep.tenants[0].client->metrics();
 
-  // One window for both modes. In a traced run each client alternates
-  // untraced and traced requests, so both are timed side by side.
   SpanLog log;
-  std::vector<ClientLog> logs(kClients);
-  std::vector<std::int64_t> traced_attempts(kClients, 0), traced_bad(kClients, 0);
-  const std::size_t cap =
-      options.max_ops > 0 ? static_cast<std::size_t>(options.max_ops) : 0;
-  const std::int64_t window_start = now_ns();
-  const std::int64_t deadline =
-      window_start + static_cast<std::int64_t>(options.seconds * 1e9);
+  const std::size_t requests =
+      options.max_ops > 0 ? static_cast<std::size_t>(options.max_ops) : kRequests;
+  std::vector<std::int64_t> bad(kClients, 0);
+  std::vector<std::string> errors(kClients);
   {
     std::vector<std::thread> threads;
     for (int c = 0; c < kClients; ++c)
       threads.emplace_back([&, c] {
-        Tenant& t = dep.tenants[static_cast<std::size_t>(c)];
-        ClientLog& cl = logs[static_cast<std::size_t>(c)];
-        // Room for 20k requests/s up front: pages are touched only as
-        // they fill, so peak RSS tracks the request count without the
-        // jumps of vector doubling.
-        const auto room = static_cast<std::size_t>(options.seconds * 2e4) + 16;
-        cl.us.reserve(room);
-        cl.digest.reserve(room);
-        std::unique_ptr<Session> local;
-        CompiledCircuit cc;
-        if (options.trace) {
-          local = std::make_unique<Session>(tenant_config());
-          cc = local->compile(parsed.circuit);
-        }
-        for (std::size_t i = 0; now_ns() < deadline || i < 2; ++i) {
-          if (cap > 0 && i >= 2 * cap) break;
+        const Tenant& t = dep.tenants[static_cast<std::size_t>(c)];
+        Session local(tenant_config());
+        const CompiledCircuit cc = local.compile(parsed.circuit);
+        for (std::size_t i = 0; i < requests; ++i) {
           const std::vector<double> values = request_values(options.seed, c, i);
-          if (!options.trace || i % 2 == 0) {
-            try {
-              const std::int64_t t0 = now_ns();
-              const serve::RunReply r =
-                  t.client->run(t.session_id, t.compiled_id, values);
-              cl.us.push_back(static_cast<double>(now_ns() - t0) / 1e3);
-              cl.digest.push_back(
-                  reply_digest(r.seed, r.norm_sq, r.expectation_z));
-            } catch (const std::exception& e) {
-              cl.us.push_back(-1);
-              cl.digest.push_back(0);
-              ++cl.failed;
-              if (cl.error.empty()) cl.error = e.what();
-            }
-            continue;
-          }
-          // Traced request: the codec and network legs as spans, then the
-          // server's side of the codec and the in-process run of the same
-          // request on this thread, outside the round trip.
           const int op = static_cast<int>(i) * kClients + c;
-          ++traced_attempts[static_cast<std::size_t>(c)];
           std::vector<std::uint8_t> body, reply;
           serve::RunReply r;
           try {
@@ -249,8 +200,10 @@ Outcome run_serve_closed(const Options& options) {
             serve::WireReader rd(reply);
             r = serve::RunReply::decode(rd);
             log.end(span);
-          } catch (const std::exception&) {
-            ++traced_bad[static_cast<std::size_t>(c)];
+          } catch (const std::exception& e) {
+            ++bad[static_cast<std::size_t>(c)];
+            if (errors[static_cast<std::size_t>(c)].empty())
+              errors[static_cast<std::size_t>(c)] = e.what();
             continue;
           }
           bool ok = true;
@@ -267,86 +220,41 @@ Outcome run_serve_closed(const Options& options) {
           std::uint64_t want = 0;
           {
             Scoped span(log, "serve.inproc", -1, op);
-            want = inproc_digest(*local, cc, values);
+            want = inproc_digest(local, cc, values);
           }
           if (!ok || want != reply_digest(r.seed, r.norm_sq, r.expectation_z))
-            ++traced_bad[static_cast<std::size_t>(c)];
+            ++bad[static_cast<std::size_t>(c)];
         }
       });
     for (auto& th : threads) th.join();
   }
-  const double window_s = static_cast<double>(now_ns() - window_start) / 1e9;
-  std::vector<double> op_ms;
-  for (const ClientLog& cl : logs) {
-    out.attempted += static_cast<std::int64_t>(cl.us.size());
-    out.failed += cl.failed;
-    if (!cl.error.empty()) out.check_failed("request failed: " + cl.error);
-    for (double us : cl.us)
-      if (us >= 0) op_ms.push_back(us / 1e3);
-  }
-  report_end_to_end(out, op_ms, window_s, setups);
-
-  // Every untraced reply must be bit-identical to an in-process run with
-  // the same values (traced ones were compared as they arrived); checked
-  // after the window on all cores.
-  {
-    std::vector<std::pair<int, std::size_t>> work;
-    for (int c = 0; c < kClients; ++c)
-      for (std::size_t k = 0; k < logs[static_cast<std::size_t>(c)].us.size(); ++k)
-        if (logs[static_cast<std::size_t>(c)].us[k] >= 0) work.emplace_back(c, k);
-    std::vector<std::int64_t> mismatches(4, 0);
-    std::vector<std::thread> checkers;
-    for (int w = 0; w < 4; ++w)
-      checkers.emplace_back([&, w] {
-        Session local(tenant_config());
-        const CompiledCircuit cc = local.compile(parsed.circuit);
-        for (std::size_t k = static_cast<std::size_t>(w); k < work.size(); k += 4) {
-          const auto [c, idx] = work[k];
-          // Untraced requests are every request, or the even ones when
-          // traced requests alternate with them.
-          const std::size_t i = options.trace ? 2 * idx : idx;
-          const std::uint64_t want =
-              inproc_digest(local, cc, request_values(options.seed, c, i));
-          if (want != logs[static_cast<std::size_t>(c)].digest[idx])
-            ++mismatches[static_cast<std::size_t>(w)];
-        }
-      });
-    for (auto& th : checkers) th.join();
-    std::int64_t bad = 0;
-    for (std::int64_t m : mismatches) bad += m;
-    if (bad > 0) {
-      out.check_failed(std::to_string(bad) +
-                       " replies differ from the in-process run");
-      out.failed += bad;
+  out.attempted += static_cast<std::int64_t>(requests) * kClients;
+  for (int c = 0; c < kClients; ++c) {
+    const std::size_t k = static_cast<std::size_t>(c);
+    if (!errors[k].empty()) out.check_failed("serve request failed: " + errors[k]);
+    if (bad[k] > 0) {
+      out.check_failed(std::to_string(bad[k]) + " serve requests of client " +
+                       std::to_string(c) +
+                       " failed or differ from the in-process run");
+      out.failed += bad[k];
     }
   }
-  if (!options.trace) return out;
 
   const serve::MetricsReply after = dep.tenants[0].client->metrics();
   std::vector<double> round_trip_us;
   for (const Span& s : log.spans())
     if (std::string(s.name) == "serve.request")
       round_trip_us.push_back(static_cast<double>(s.end - s.start) / 1e3);
-  std::int64_t bad = 0;
-  for (int c = 0; c < kClients; ++c) {
-    out.attempted += traced_attempts[static_cast<std::size_t>(c)];
-    bad += traced_bad[static_cast<std::size_t>(c)];
-  }
-  if (bad > 0) {
-    out.check_failed(std::to_string(bad) +
-                     " traced requests failed or differ from in-process");
-    out.failed += bad;
-  }
   const double n = static_cast<double>(round_trip_us.size());
   const double inproc_us = log.total_ms("serve.inproc") * 1e3 / n;
   const double codec_us = (log.total_ms("serve.encode") +
                            log.total_ms("serve.decode") +
                            log.total_ms("serve.server_codec")) *
                           1e3 / n;
-  const double traced_p50 = quantile(round_trip_us, 0.5);
   out.set("serve.inproc_us", inproc_us, "us");
   out.set("serve.codec_us", codec_us, "us");
-  out.set("serve.gap_us", traced_p50 - inproc_us - codec_us, "us");
+  out.set("serve.gap_us", quantile(round_trip_us, 0.5) - inproc_us - codec_us,
+          "us");
   const serve::MetricEntry* wait = find_metric(after, "serve.queue_wait_us");
   out.set("serve.queue_wait_us_p50", wait ? wait->p50 : 0, "us");
   double server_p50 = 0;
@@ -356,7 +264,7 @@ Outcome run_serve_closed(const Options& options) {
     server_p50 += e ? e->p50 / kClients : 0;
   }
   out.set("serve.server_latency_us_p50", server_p50, "us");
-  // Byte counters over the window's run requests, less the frames of
+  // Byte counters over the census's run requests, less the frames of
   // the two snapshots: the first snapshot's reply is counted after it
   // was taken, the second's request before.
   serve::WireWriter before_body;
@@ -367,16 +275,12 @@ Outcome run_serve_closed(const Options& options) {
                        counter(after, "serve.bytes_out") -
                        counter(before, "serve.bytes_in") -
                        counter(before, "serve.bytes_out") - snapshot_frames;
-  const double requests = static_cast<double>(op_ms.size()) + n;
-  out.set("serve.bytes_per_req", bytes / requests, "B");
+  out.set("serve.bytes_per_req", bytes / n, "B");
   out.set("serve.refused",
           counter(after, "serve.admission.refused") -
               counter(before, "serve.admission.refused"),
           "count");
-  out.set("trace.overhead_frac", traced_p50 / (quantile(op_ms, 0.5) * 1e3) - 1.0,
-          "frac");
-  write_spans(options, options.workload, log, out);
-  return out;
+  write_spans(options, "serve-census", log, out);
 }
 
 }  // namespace perfbench

@@ -3,7 +3,8 @@
 // hardware-efficient ansatz with 120 symbols, reading <Z_q> for every
 // qubit at every point. Shape L=9, R=2, G=1 (4 GPUs/node, so no
 // offload), cluster.num_threads=1, dispatch_threads=4. The base point
-// of op i comes from (seed, i).
+// of op i comes from (seed, i). Traced runs also take the serve census
+// (serve_census.cpp).
 
 #include <cmath>
 #include <cstdio>
@@ -247,6 +248,7 @@ Outcome run_sweep_gradient(const Options& options) {
   out.set("trace.overhead_frac", traced_point_ms * 1e3 / serial_point_us - 1.0,
           "frac");
   write_spans(options, options.workload, log, out);
+  serve_census(options, out);
   return out;
 }
 
