@@ -185,7 +185,7 @@ void CommandQueue::run_command(Command& cmd) {
           obs::counter(obs::names::kDeviceLaunches);
       launches.inc();
       auto task = [this, fn = std::move(cmd.fn), g = cmd.exec_token,
-                   b = cmd.buffer_token] {
+                   b = cmd.buffer_token]() mutable {
         std::exception_ptr error;
         try {
           obs::TraceSpan span(obs::names::kSpanDeviceLaunch, g);
@@ -193,6 +193,11 @@ void CommandQueue::run_command(Command& cmd) {
         } catch (...) {
           error = std::current_exception();
         }
+        // Drop the buffers fn captured before reporting the launch
+        // done: the pool destroys this task only after it returns,
+        // which can be after the queue's destructor has stopped
+        // waiting and the staging pool is gone.
+        fn = nullptr;
         finish_launch(g, b, std::move(error));
       };
       try {

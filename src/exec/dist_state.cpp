@@ -3,19 +3,6 @@
 #include "common/error.h"
 
 namespace atlas::exec {
-namespace {
-
-/// Logical state index -> (shard, offset) under `layout`.
-std::pair<int, Index> locate(const Layout& l, Index logical_index) {
-  Index phys = 0;
-  for (int q = 0; q < l.num_qubits(); ++q)
-    if (test_bit(logical_index, q)) phys |= bit(l.phys_of_logical[q]);
-  const Index offset = phys & ((Index{1} << l.num_local) - 1);
-  const Index high = phys >> l.num_local;
-  return {static_cast<int>(high ^ l.shard_xor), offset};
-}
-
-}  // namespace
 
 DistState DistState::zero_state(const Layout& layout) {
   DistState st;
@@ -23,7 +10,7 @@ DistState DistState::zero_state(const Layout& layout) {
   const int num_shards = 1 << (layout.num_qubits() - layout.num_local);
   st.shards_.assign(num_shards,
                     std::vector<Amp>(Index{1} << layout.num_local, Amp{}));
-  const auto [s, o] = locate(layout, 0);
+  const auto [s, o] = layout.locate(0);
   st.shards_[s][o] = Amp(1, 0);
   return st;
 }
@@ -37,7 +24,7 @@ DistState DistState::scatter(const StateVector& sv, const Layout& layout) {
   st.shards_.assign(num_shards,
                     std::vector<Amp>(Index{1} << layout.num_local, Amp{}));
   for (Index i = 0; i < sv.size(); ++i) {
-    const auto [s, o] = locate(layout, i);
+    const auto [s, o] = layout.locate(i);
     st.shards_[s][o] = sv[i];
   }
   return st;
@@ -47,7 +34,7 @@ StateVector DistState::gather() const {
   StateVector sv(num_qubits());
   sv[0] = Amp{};
   for (Index i = 0; i < sv.size(); ++i) {
-    const auto [s, o] = locate(layout_, i);
+    const auto [s, o] = layout_.locate(i);
     sv[i] = shards_[s][o];
   }
   return sv;

@@ -18,6 +18,23 @@ Layout Layout::identity(int num_qubits, int num_local) {
   return l;
 }
 
+std::pair<int, Index> Layout::locate(Index logical_index) const {
+  Index phys = 0;
+  for (int q = 0; q < num_qubits(); ++q)
+    if (test_bit(logical_index, q)) phys |= bit(phys_of_logical[q]);
+  const Index offset = phys & (bit(num_local) - 1);
+  return {static_cast<int>((phys >> num_local) ^ shard_xor), offset};
+}
+
+Index Layout::logical_of(int shard, Index offset) const {
+  const Index phys =
+      ((static_cast<Index>(shard) ^ shard_xor) << num_local) | offset;
+  Index logical = 0;
+  for (int p = 0; p < num_qubits(); ++p)
+    if (test_bit(phys, p)) logical |= bit(logical_of_phys[p]);
+  return logical;
+}
+
 Layout Layout::for_partition(const staging::QubitPartition& partition,
                              int num_local, int num_regional,
                              const Layout& previous) {

@@ -11,6 +11,7 @@
 /// the mapping between shard ids and physical high-bit values instead
 /// of exchanging whole shards (the paper's insular-qubit trick).
 
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
@@ -31,6 +32,13 @@ struct Layout {
 
   int num_qubits() const { return static_cast<int>(phys_of_logical.size()); }
   bool is_local(Qubit q) const { return phys_of_logical[q] < num_local; }
+
+  /// Logical basis index -> (shard, offset) of its amplitude.
+  std::pair<int, Index> locate(Index logical_index) const;
+
+  /// Logical basis index of the amplitude stored at (shard, offset);
+  /// the inverse of locate().
+  Index logical_of(int shard, Index offset) const;
 
   /// The physical-high-bit value of qubit q in shard `shard`
   /// (q must be non-local).

@@ -7,36 +7,10 @@
 #include "common/error.h"
 
 namespace atlas::exec {
-namespace {
-
-/// Logical basis index -> (shard, offset) under the state's layout.
-std::pair<int, Index> locate(const DistState& state, Index logical_index) {
-  const Layout& l = state.layout();
-  Index phys = 0;
-  for (int q = 0; q < l.num_qubits(); ++q)
-    if (test_bit(logical_index, q)) phys |= bit(l.phys_of_logical[q]);
-  const Index offset = phys & (state.shard_size() - 1);
-  const Index high = phys >> l.num_local;
-  return {static_cast<int>(high ^ l.shard_xor), offset};
-}
-
-/// Logical index of the amplitude stored at (shard, offset).
-Index logical_of(const DistState& state, int shard, Index offset) {
-  const Layout& l = state.layout();
-  const Index phys =
-      ((static_cast<Index>(shard) ^ l.shard_xor) << l.num_local) | offset;
-  Index logical = 0;
-  for (int p = 0; p < l.num_qubits(); ++p)
-    if (test_bit(phys, p)) logical |= bit(l.logical_of_phys[p]);
-  return logical;
-}
-
-}  // namespace
-
 Amp amplitude(const DistState& state, Index logical_index) {
   ATLAS_CHECK(logical_index < (Index{1} << state.num_qubits()),
               "basis state out of range");
-  const auto [s, o] = locate(state, logical_index);
+  const auto [s, o] = state.layout().locate(logical_index);
   return state.shard(s)[o];
 }
 
@@ -138,22 +112,32 @@ std::vector<Index> sample(const DistState& state, int shots, Rng& rng) {
 
 std::vector<Index> sample(const DistState& state, int shots, Rng& rng,
                           double total_norm) {
+  ATLAS_CHECK_ARG(shots >= 0, "sample shots is negative: " << shots);
   std::vector<double> draws(shots);
   for (auto& d : draws) d = rng.uniform() * total_norm;
   std::sort(draws.begin(), draws.end());
   std::vector<Index> out(shots);
+  // One sequential inverse-CDF walk; the logical index is computed only
+  // where a draw lands. Draws left over once the walk ends (total_norm
+  // above the state's norm) go to the last amplitude.
+  const Layout& layout = state.layout();
+  const Index size = state.shard_size();
   double cum = 0;
   std::size_t k = 0;
-  Index last = 0;
   for (int s = 0; s < state.num_shards() && k < draws.size(); ++s) {
-    const auto& shard = state.shard(s);
-    for (Index o = 0; o < state.shard_size() && k < draws.size(); ++o) {
+    const Amp* shard = state.shard(s).data();
+    for (Index o = 0; o < size && k < draws.size(); ++o) {
       cum += std::norm(shard[o]);
-      last = logical_of(state, s, o);
-      while (k < draws.size() && draws[k] < cum) out[k++] = last;
+      if (!(draws[k] < cum)) continue;
+      const Index logical = layout.logical_of(s, o);
+      do out[k++] = logical;
+      while (k < draws.size() && draws[k] < cum);
     }
   }
-  while (k < draws.size()) out[k++] = last;
+  if (k < draws.size()) {
+    const Index last = layout.logical_of(state.num_shards() - 1, size - 1);
+    while (k < draws.size()) out[k++] = last;
+  }
   std::shuffle(out.begin(), out.end(), rng.engine());
   return out;
 }

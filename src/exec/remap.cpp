@@ -1,8 +1,9 @@
 #include "exec/remap.h"
 
-#include <atomic>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
-#include <mutex>
 
 #include "common/error.h"
 
@@ -50,44 +51,91 @@ device::CommStats remap(DistState& state, const Layout& new_layout,
   const Index shard_size = state.shard_size();
   const int num_shards = state.num_shards();
 
-  std::vector<std::vector<Amp>> dst(
-      num_shards, std::vector<Amp>(shard_size));
-  const auto& src_shards = state.shards();
+  // The map is GF(2)-linear, so the local dst bits above the block
+  // ([block_bits, L)) contribute through byte lookup tables: entry v of
+  // table t is the XOR of bit(bitmap[p]) over the bits set in v, with
+  // p = block_bits + 8t + j. A block's source is then the dst shard's
+  // constant part XORed with one entry per table.
+  const int moving = L - block_bits;
+  const int num_tables = std::max(1, (moving + 7) / 8);
+  std::array<std::array<Index, 256>, 5> tables{};  // L < 40
+  ATLAS_CHECK(num_tables <= static_cast<int>(tables.size()),
+              "too many local qubits for remap tables: " << L);
+  for (int t = 0; t < num_tables; ++t) {
+    const int width = std::clamp(moving - 8 * t, 0, 8);
+    for (Index v = 1; v < bit(width); ++v)
+      tables[t][v] = tables[t][v & (v - 1)] ^
+                     bit(bitmap[block_bits + 8 * t + std::countr_zero(v)]);
+  }
+  const Index row_len = bit(std::min(moving, 8));  // entries of table 0
+  const Index rows = bit(moving) / row_len;
 
+  // Source-shard bits a dst shard draws on: every local dst bit that
+  // the map sends to a shard-selecting position doubles the number of
+  // source shards, each feeding an equal share.
+  std::vector<int> fanout_bits;
+  for (int p = block_bits; p < L; ++p)
+    if (bitmap[p] >= L) fanout_bits.push_back(1 << (bitmap[p] - L));
+  const Index sources = bit(static_cast<int>(fanout_bits.size()));
+  const std::uint64_t bytes_per_source =
+      shard_size / sources * sizeof(Amp);
+
+  std::vector<const Amp*> src(num_shards);
+  for (int s = 0; s < num_shards; ++s) src[s] = state.shard(s).data();
   // Per-shard byte accounting, merged after the parallel loop.
-  std::vector<std::uint64_t> intra_gpu(num_shards, 0), intra_node(num_shards, 0),
-      inter_node(num_shards, 0);
+  std::vector<device::CommStats> shard_stats(num_shards);
+  // Allocated here, zero-filled (and first touched) in parallel below.
+  std::vector<std::vector<Amp>> dst(num_shards);
+  for (auto& d : dst) d.reserve(shard_size);
 
   cluster.pool().parallel_for(
       static_cast<std::size_t>(num_shards), [&](std::size_t s1) {
-        const Index base = static_cast<Index>(s1) << L;
-        for (Index o = 0; o < shard_size; o += block) {
-          const Index d = base | o;
-          Index src = xor_const;
-          for (int p = block_bits; p < n; ++p)
-            if (test_bit(d, p)) src ^= bit(bitmap[p]);
-          src |= d & (block - 1);
-          const int s0 = static_cast<int>(src >> L);
-          std::memcpy(dst[s1].data() + o,
-                      src_shards[s0].data() + (src & (shard_size - 1)),
-                      block * sizeof(Amp));
-          const std::uint64_t bytes = block * sizeof(Amp);
+        dst[s1].resize(shard_size);  // within capacity: no reallocation
+        Amp* out = dst[s1].data();
+        Index shard_src = xor_const;
+        for (int p = L; p < n; ++p)
+          if (test_bit(s1, p - L)) shard_src ^= bit(bitmap[p]);
+        for (Index r = 0; r < rows; ++r) {
+          Index row_src = shard_src;
+          for (int t = 1; t < num_tables; ++t)
+            row_src ^= tables[t][(r >> (8 * (t - 1))) & 255];
+          const Index* t0 = tables[0].data();
+          Amp* row_out = out + ((r * row_len) << block_bits);
+          if (block == 1) {
+            for (Index v = 0; v < row_len; ++v) {
+              const Index from = row_src ^ t0[v];
+              row_out[v] = src[from >> L][from & (shard_size - 1)];
+            }
+          } else {
+            for (Index v = 0; v < row_len; ++v) {
+              const Index from = row_src ^ t0[v];
+              std::memcpy(row_out + (v << block_bits),
+                          src[from >> L] + (from & (shard_size - 1)),
+                          block * sizeof(Amp));
+            }
+          }
+        }
+
+        // Meter each source shard once: they are shard_src's shard
+        // bits XOR every subset of fanout_bits, enumerated in Gray
+        // order.
+        device::CommStats& st = shard_stats[s1];
+        int s0 = static_cast<int>(shard_src >> L);
+        for (Index m = 1;; ++m) {
           if (s0 == static_cast<int>(s1)) {
-            intra_gpu[s1] += bytes;
+            st.intra_gpu_bytes += bytes_per_source;
           } else if (cluster.node_of_shard(s0) ==
                      cluster.node_of_shard(static_cast<int>(s1))) {
-            intra_node[s1] += bytes;
+            st.intra_node_bytes += bytes_per_source;
           } else {
-            inter_node[s1] += bytes;
+            st.inter_node_bytes += bytes_per_source;
           }
+          if (m == sources) break;
+          s0 ^= fanout_bits[std::countr_zero(m)];
         }
       });
 
-  for (int s = 0; s < num_shards; ++s) {
-    stats.intra_gpu_bytes += intra_gpu[s];
-    stats.intra_node_bytes += intra_node[s];
-    stats.inter_node_bytes += inter_node[s];
-  }
+  for (const device::CommStats& st : shard_stats) stats += st;
   if (stats.intra_node_bytes + stats.inter_node_bytes > 0)
     stats.alltoall_rounds = 1;
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuits/families.h"
+#include "common/rng.h"
 #include "core/atlas.h"
 #include "exec/partial_eval.h"
 #include "exec/remap.h"
@@ -99,6 +102,72 @@ TEST(Remap, LocalOnlyShuffleStaysIntraGpu) {
   EXPECT_EQ(stats.intra_node_bytes, 0u);
   EXPECT_EQ(stats.inter_node_bytes, 0u);
   EXPECT_LT(st.gather().max_abs_diff(sv), kTol);
+}
+
+// Random layout chains with shard_xor on both sides: every remap must
+// produce exactly (==) the shards of scattering the gathered state into
+// the new layout, and meter exactly the bytes a per-amplitude walk
+// attributes to each link class.
+TEST(Remap, RandomChainsAreBitExactAndMeteredPerAmplitude) {
+  Rng rng(31337);
+  int blocked = 0, unblocked = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    device::ClusterConfig cc;
+    // Shards past 2^8 amplitudes take more than one lookup table.
+    cc.local_qubits = static_cast<int>(trial < 4 ? 3 + rng.index(3)
+                                                 : 9 + rng.index(3));
+    cc.regional_qubits = 1 + static_cast<int>(rng.index(2));
+    cc.global_qubits = static_cast<int>(rng.index(3));
+    cc.gpus_per_node = 1 << cc.regional_qubits;
+    cc.num_threads = 2;
+    device::Cluster cluster(cc);
+    const int n = cc.total_qubits();
+    const int L = cc.local_qubits;
+    const Index num_shards = Index{1} << (n - L);
+
+    exec::Layout layout = exec::Layout::identity(n, L);
+    layout.shard_xor = rng.index(num_shards);
+    exec::DistState st =
+        exec::DistState::scatter(StateVector::random(n, 50 + trial), layout);
+    for (int step = 0; step < 8; ++step) {
+      // Half the steps keep a random prefix of physical positions in
+      // place (block_bits > 0), the rest shuffle every position.
+      const int keep = step % 2 == 0 ? 0 : 1 + static_cast<int>(rng.index(L));
+      std::vector<Qubit> order = st.layout().logical_of_phys;
+      std::shuffle(order.begin() + keep, order.end(), rng.engine());
+      exec::Layout next = layout_for(order, L);
+      next.shard_xor = rng.index(num_shards);
+      if (order[0] == st.layout().logical_of_phys[0]) ++blocked;
+      else ++unblocked;
+
+      const bool same = order == st.layout().logical_of_phys &&
+                        next.shard_xor == st.layout().shard_xor;
+      const exec::DistState expected =
+          exec::DistState::scatter(st.gather(), next);
+      device::CommStats counted;
+      for (int s1 = 0; s1 < static_cast<int>(num_shards); ++s1)
+        for (Index o = 0; o < st.shard_size(); ++o) {
+          const int s0 = st.layout().locate(next.logical_of(s1, o)).first;
+          if (s0 == s1) counted.intra_gpu_bytes += sizeof(Amp);
+          else if (cluster.node_of_shard(s0) == cluster.node_of_shard(s1))
+            counted.intra_node_bytes += sizeof(Amp);
+          else counted.inter_node_bytes += sizeof(Amp);
+        }
+
+      const device::CommStats stats = exec::remap(st, next, cluster);
+      for (int s = 0; s < st.num_shards(); ++s)
+        ASSERT_EQ(st.shard(s), expected.shard(s))
+            << "trial " << trial << " step " << step << " shard " << s;
+      EXPECT_EQ(st.layout().logical_of_phys, next.logical_of_phys);
+      EXPECT_EQ(st.layout().shard_xor, next.shard_xor);
+      if (same) counted = device::CommStats{};  // nothing moves
+      EXPECT_EQ(stats.intra_gpu_bytes, counted.intra_gpu_bytes);
+      EXPECT_EQ(stats.intra_node_bytes, counted.intra_node_bytes);
+      EXPECT_EQ(stats.inter_node_bytes, counted.inter_node_bytes);
+    }
+  }
+  EXPECT_GT(blocked, 0);
+  EXPECT_GT(unblocked, 0);
 }
 
 TEST(PartialEval, NonLocalControlSkipsOrDrops) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuits/families.h"
@@ -222,6 +223,122 @@ TEST(DistQueries, SamplingDistributedGhz) {
   }
   EXPECT_GT(zeros, 150);
   EXPECT_GT(ones, 150);
+}
+
+// --------------------------------------------------------------------------
+// Sample-stream pinning: exec::sample must draw exactly the shots of the
+// original per-amplitude sampler, reproduced verbatim below, so every
+// seeded stream (results, trajectories, the wire) stays unchanged.
+
+/// Logical index of the amplitude stored at (shard, offset).
+Index reference_logical_of(const exec::DistState& state, int shard,
+                           Index offset) {
+  const exec::Layout& l = state.layout();
+  const Index phys =
+      ((static_cast<Index>(shard) ^ l.shard_xor) << l.num_local) | offset;
+  Index logical = 0;
+  for (int p = 0; p < l.num_qubits(); ++p)
+    if (test_bit(phys, p)) logical |= bit(l.logical_of_phys[p]);
+  return logical;
+}
+
+std::vector<Index> reference_sample(const exec::DistState& state, int shots,
+                                    Rng& rng, double total_norm) {
+  std::vector<double> draws(shots);
+  for (auto& d : draws) d = rng.uniform() * total_norm;
+  std::sort(draws.begin(), draws.end());
+  std::vector<Index> out(shots);
+  double cum = 0;
+  std::size_t k = 0;
+  Index last = 0;
+  for (int s = 0; s < state.num_shards() && k < draws.size(); ++s) {
+    const auto& shard = state.shard(s);
+    for (Index o = 0; o < state.shard_size() && k < draws.size(); ++o) {
+      cum += std::norm(shard[o]);
+      last = reference_logical_of(state, s, o);
+      while (k < draws.size() && draws[k] < cum) out[k++] = last;
+    }
+  }
+  while (k < draws.size()) out[k++] = last;
+  std::shuffle(out.begin(), out.end(), rng.engine());
+  return out;
+}
+
+/// A random layout of n qubits, num_local < n of them local, with a
+/// random non-zero shard_xor.
+exec::Layout random_layout(int n, int num_local, Rng& rng) {
+  exec::Layout l = exec::Layout::identity(n, num_local);
+  std::shuffle(l.logical_of_phys.begin(), l.logical_of_phys.end(),
+               rng.engine());
+  for (int p = 0; p < n; ++p) l.phys_of_logical[l.logical_of_phys[p]] = p;
+  l.shard_xor = 1 + rng.index((Index{1} << (n - num_local)) - 1);
+  return l;
+}
+
+void expect_same_stream(const exec::DistState& state, int shots,
+                        std::uint64_t seed, double total_norm) {
+  Rng a(seed), b(seed);
+  EXPECT_EQ(exec::sample(state, shots, a, total_norm),
+            reference_sample(state, shots, b, total_norm));
+  // Both consumed the generator identically.
+  EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+TEST(SampleStream, RandomStatesOnPermutedLayoutsMatchReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    const int n = 6 + static_cast<int>(rng.index(5));
+    const int num_local = 3 + static_cast<int>(rng.index(n - 4));
+    const exec::Layout layout = random_layout(n, num_local, rng);
+    const exec::DistState state = exec::DistState::scatter(
+        StateVector::random(n, 100 + trial), layout);
+    expect_same_stream(state, 1 + static_cast<int>(rng.index(700)),
+                       trial, 1.0);
+  }
+}
+
+TEST(SampleStream, GhzSparseStateMatchesReference) {
+  const int n = 10;
+  Rng rng(5);
+  exec::Layout layout = random_layout(n, 6, rng);
+  layout.shard_xor = 0b1011;
+  StateVector sv(n);
+  sv[0] = Amp(std::sqrt(0.5), 0);
+  sv[(Index{1} << n) - 1] = Amp(0, -std::sqrt(0.5));
+  const exec::DistState state = exec::DistState::scatter(sv, layout);
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    expect_same_stream(state, 1024, seed, 1.0);
+}
+
+TEST(SampleStream, ResidualDrawsGoToLastAmplitudeLikeReference) {
+  // total_norm above the state's norm: draws past the cumulative sum
+  // land on the last amplitude walked.
+  const int n = 8;
+  Rng rng(17);
+  const exec::Layout layout = random_layout(n, 5, rng);
+  const exec::DistState state =
+      exec::DistState::scatter(StateVector::random(n, 9), layout);
+  const Index last = reference_logical_of(state, state.num_shards() - 1,
+                                          state.shard_size() - 1);
+  Rng probe(3);
+  const auto shots = exec::sample(state, 400, probe, 3.0);
+  EXPECT_GT(std::count(shots.begin(), shots.end(), last), 200);
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    expect_same_stream(state, 400, seed, 3.0);
+}
+
+TEST(SampleStream, NegativeShotsAreInvalidArgument) {
+  SessionConfig cfg;
+  cfg.cluster.local_qubits = 5;
+  cfg.cluster.gpus_per_node = 1;
+  const SimulationResult r = Session(cfg).simulate(circuits::ghz(5));
+  try {
+    r.sample(-1);
+    FAIL() << "sample(-1) did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::invalid_argument);
+  }
+  EXPECT_TRUE(r.sample(0).empty());
 }
 
 // --------------------------------------------------------------------------
