@@ -9,6 +9,7 @@
 // its per-trajectory plans out of the session's LRU cache.
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -206,37 +207,54 @@ noise::NoisyResult Session::run_noisy(
     // bypassing the LRU plan cache on purpose (N structurally distinct
     // entries would evict the session's real plans). Equal patterns
     // lower to identical circuits, so a run-local memo (small pattern
-    // spaces only — the bound caps the memo's plan count) collapses N
-    // trajectory plans to the number of distinct patterns actually
-    // drawn; a racing rebuild of the same pattern is harmless — both
-    // plans are identical — and the first insertion wins. The final
-    // norm^2 is the trajectory's weight; partial_of() threads it
-    // through sampling and the Builder keeps the mixture estimator
-    // unbiased.
+    // spaces only — the bound caps the memo's plan count) builds
+    // exactly one plan per distinct pattern drawn. The memo is
+    // single-flight: the first trajectory to draw a pattern publishes a
+    // pending entry under the lock and builds outside it; concurrent
+    // trajectories of the same pattern wait on that entry rather than
+    // build again, and a build failure reaches every waiter (so
+    // dispatch_each rethrows it). Waiting inside a dispatch worker
+    // cannot deadlock: the builder is already running, and the compile
+    // layers start no pool work. The final norm^2 is the trajectory's
+    // weight; partial_of() threads it through sampling and the Builder
+    // keeps the mixture estimator unbiased.
+    using PlanPtr = std::shared_ptr<const exec::ExecutionPlan>;
     const bool memoize =
         pattern_space(prog.sites(), kKrausPatternMemoMaxPatterns) <=
         kKrausPatternMemoMaxPatterns;
     std::mutex memo_mu;
-    std::map<std::vector<int>, std::shared_ptr<const exec::ExecutionPlan>>
-        memo;
+    std::map<std::vector<int>, std::shared_future<PlanPtr>> memo;
     dispatch_each(count, [&](std::size_t t) {
       const std::vector<int> outcomes = prog.sample_outcomes(seed, t);
-      std::shared_ptr<const exec::ExecutionPlan> plan;
-      if (memoize) {
-        std::lock_guard<std::mutex> lock(memo_mu);
-        const auto it = memo.find(outcomes);
-        if (it != memo.end()) plan = it->second;
-      }
-      if (!plan) {
+      const auto build = [&] {
         Circuit lowered = prog.lower_outcomes(outcomes);
         if (lowered.is_parameterized())
           lowered = lowered.bind(options.binding);
-        plan = std::make_shared<const exec::ExecutionPlan>(
+        return std::make_shared<const exec::ExecutionPlan>(
             build_plan(lowered));
-        if (memoize) {
+      };
+      PlanPtr plan;
+      if (!memoize) {
+        plan = build();
+      } else {
+        std::promise<PlanPtr> promise;
+        std::shared_future<PlanPtr> entry;
+        bool first = false;
+        {
           std::lock_guard<std::mutex> lock(memo_mu);
-          plan = memo.emplace(outcomes, std::move(plan)).first->second;
+          const auto [it, inserted] = memo.try_emplace(outcomes);
+          if (inserted) it->second = promise.get_future().share();
+          entry = it->second;
+          first = inserted;
         }
+        if (first) {
+          try {
+            promise.set_value(build());
+          } catch (...) {
+            promise.set_exception(std::current_exception());
+          }
+        }
+        plan = entry.get();  // rethrows the builder's failure
       }
       exec::DistState state = executor_->initial_state(*plan, cluster_);
       executor_->execute(*plan, cluster_, state, ParamEnv{});

@@ -12,7 +12,11 @@
 #include <vector>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "core/session.h"
 #include "noise/channel.h"
@@ -452,9 +456,11 @@ class KrausMemoCountingStager final : public staging::Stager {
 };
 
 TEST(KrausPlanMemo, BatchPlansOncePerDistinctOutcomePattern) {
-  staging::stager_registry().add("kraus-memo-counting", [] {
-    return std::make_shared<KrausMemoCountingStager>();
-  });
+  // Registered once per process, so --gtest_repeat can stress the memo.
+  if (!staging::stager_registry().contains("kraus-memo-counting"))
+    staging::stager_registry().add("kraus-memo-counting", [] {
+      return std::make_shared<KrausMemoCountingStager>();
+    });
   // One amplitude-damping site (after the single h) with two Kraus
   // outcomes: a 24-trajectory batch draws at most 2 distinct patterns,
   // so the engine must build at most 2 plans instead of 24.
@@ -501,6 +507,70 @@ TEST(KrausPlanMemo, BatchPlansOncePerDistinctOutcomePattern) {
   EXPECT_EQ(a.probabilities(), b.probabilities());
   for (Qubit q = 0; q < 4; ++q)
     EXPECT_EQ(a.expectation_z(q).value, b.expectation_z(q).value) << q;
+}
+
+std::atomic<int> kraus_memo_failing_calls{0};
+
+class KrausMemoFailingStager final : public staging::Stager {
+ public:
+  std::string name() const override { return "kraus-memo-failing"; }
+  staging::StagedCircuit stage(const Circuit&, const staging::MachineShape&,
+                               const staging::StagingOptions&) const override {
+    ++kraus_memo_failing_calls;
+    throw Error("kraus-memo-failing: staging refused");
+  }
+};
+
+TEST(KrausPlanMemo, BuildFailureReachesEveryWaitingTrajectory) {
+  if (!staging::stager_registry().contains("kraus-memo-failing"))
+    staging::stager_registry().add("kraus-memo-failing", [] {
+      return std::make_shared<KrausMemoFailingStager>();
+    });
+  // Many trajectories over one two-outcome site on four dispatch
+  // threads: most trajectories of a pattern wait on the first one's
+  // build, and that build throws. Every waiter must get the failure
+  // (none may hang or build again) and run_noisy must rethrow it.
+  NoiseModel model;
+  model.after_gate("h", KrausChannel::amplitude_damping(0.3));
+  Circuit single(4, "one_h");
+  single.add(Gate::h(0));
+  for (Qubit q = 0; q + 1 < 4; ++q) single.add(Gate::cx(q, q + 1));
+
+  NoisyRunOptions opts;
+  opts.trajectories = 32;
+  opts.seed = 17;
+  const TrajectoryProgram prog = TrajectoryProgram::build(single, model);
+  ASSERT_FALSE(prog.pauli_fast_path());
+  std::set<std::vector<int>> distinct;
+  for (int t = 0; t < opts.trajectories; ++t)
+    distinct.insert(prog.sample_outcomes(opts.seed, t));
+  ASSERT_LT(distinct.size(), static_cast<std::size_t>(opts.trajectories));
+
+  SessionConfig cfg = shaped(3, 1, 0);
+  cfg.stager = "kraus-memo-failing";
+  cfg.dispatch_threads = 4;
+  // The run goes on a detached thread that owns its inputs, so a waiter
+  // left hanging fails this test instead of stalling the suite.
+  auto outcome = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> done = outcome->get_future();
+  const int calls_before = kraus_memo_failing_calls.load();
+  std::thread([cfg, opts, single, model, outcome] {
+    try {
+      Session(cfg).run_noisy(single, model, opts);
+      outcome->set_value("returned normally");
+    } catch (const Error& e) {
+      outcome->set_value(std::string("Error: ") + e.what());
+    } catch (...) {
+      outcome->set_value("threw a non-atlas exception");
+    }
+  }).detach();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(120)),
+            std::future_status::ready)
+      << "run_noisy hung after a trajectory plan build failed";
+  const std::string got = done.get();
+  EXPECT_EQ(got, "Error: kraus-memo-failing: staging refused");
+  EXPECT_EQ(kraus_memo_failing_calls.load() - calls_before,
+            static_cast<int>(distinct.size()));
 }
 
 // --------------------------------------------------------------------------
