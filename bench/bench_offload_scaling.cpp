@@ -2,43 +2,17 @@
 // fixed over-memory qft circuit on 1, 2 and 4 GPUs (the paper's
 // contrast: QDAO stays flat when given more GPUs; Atlas speeds up).
 //
-// Part two runs the same GPU ladder through the device backend's
-// batched launches: a parameter sweep over 16 DRAM shards, batched
-// execute_batch() vs per-point execute(), at 1/2/4 modeled GPUs. More
-// exec tokens mean more concurrent launches for the command queue to
-// overlap with staging copies, so the batched advantage should hold
-// across the ladder (no wall-time gate here — bench_offload owns it).
+// Times are modeled (Perlmutter-like link constants over the metered
+// CommStats); the host's wall time of the walk does not depend on the
+// modeled GPU count, so there is no wall-clock ladder here.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
-#include "common/timer.h"
 #include "util.h"
 
 namespace atlas::bench {
 namespace {
-
-// Same shape bench_offload amortizes: an entangling wash across every
-// qubit, then a deep constant block confined to a 5-qubit fusion
-// window, with the swept parameters on a qubit outside the window so
-// the deep kernels bind once per sweep rather than once per point.
-Circuit scaling_ansatz(int n) {
-  Circuit c(n, "scaling_ansatz");
-  for (Qubit q = 0; q < n; ++q) c.add(Gate::h(q));
-  for (Qubit q = 0; q + 1 < n; ++q) c.add(Gate::cx(q, q + 1));
-  const int w = std::min(5, n);
-  for (int l = 0; l < 6; ++l) {
-    for (int q = 0; q < w; ++q) c.add(Gate::h(q));
-    for (int q = 0; q < w; ++q)
-      c.add(Gate::cp(q, (q + 1) % w, 0.2 + 0.1 * q + 0.05 * l));
-    for (int q = 0; q < w; ++q) c.add(Gate::t(q));
-  }
-  const Param theta = Param::symbol("theta");
-  c.add(Gate::rx(5, theta));
-  c.add(Gate::rz(5, theta));
-  return c;
-}
 
 void figure8(int local) {
   const int n = local + 4;  // 16 DRAM shards
@@ -78,68 +52,6 @@ void figure8(int local) {
   std::printf("\n(paper: Atlas scales across GPUs; QDAO's time stays flat)\n");
 }
 
-void batched_ladder(bool smoke) {
-  const int local = smoke ? 6 : 8;
-  const int regional = 4;  // 16 DRAM shards
-  const int n = local + regional;
-  const int points_n = smoke ? 8 : 16;
-  const int reps = smoke ? 1 : 3;
-
-  print_header(
-      "Device backend — batched-launch speedup across the GPU ladder",
-      "batched execute_batch vs per-point execute, 16 DRAM shards",
-      smoke ? "8-point sweep through 1/2/4 modeled GPUs (smoke)"
-            : "16-point sweep through 1/2/4 modeled GPUs");
-
-  std::printf("%5s | %12s %12s | %8s %6s\n", "GPUs", "per-point", "batched",
-              "speedup", "exact");
-  for (int gpus : {1, 2, 4}) {
-    SessionConfig cfg;
-    cfg.executor = "device";
-    cfg.cluster.local_qubits = local;
-    cfg.cluster.regional_qubits = regional;
-    cfg.cluster.global_qubits = 0;
-    cfg.cluster.gpus_per_node = gpus;
-    cfg.cluster.num_threads = std::max(2, gpus);
-    const Session session(cfg);
-    const CompiledCircuit compiled = session.compile(scaling_ansatz(n));
-
-    Rng rng(0x5CA11);
-    std::vector<std::vector<double>> points(
-        static_cast<std::size_t>(points_n));
-    for (auto& p : points) {
-      p.resize(compiled.symbols().size());
-      for (double& v : p) v = rng.uniform() * 6.28318 - 3.14159;
-    }
-
-    bool identical = true;
-    {
-      const std::vector<SimulationResult> batched =
-          session.sweep(compiled, points);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const SimulationResult solo = session.run(compiled, points[i]);
-        identical &= solo.state.gather().amplitudes() ==
-                     batched[i].state.gather().amplitudes();
-      }
-    }
-
-    double per_point = 1e30, batched = 1e30;
-    for (int r = 0; r < reps; ++r) {
-      Timer t;
-      for (const auto& p : points) session.run(compiled, p);
-      per_point = std::min(per_point, t.seconds());
-    }
-    for (int r = 0; r < reps; ++r) {
-      Timer t;
-      session.sweep(compiled, points);
-      batched = std::min(batched, t.seconds());
-    }
-    std::printf("%5d | %10.2fms %10.2fms | %7.2fx %6s\n", gpus,
-                per_point * 1e3, batched * 1e3, per_point / batched,
-                identical ? "yes" : "NO");
-  }
-}
-
 }  // namespace
 }  // namespace atlas::bench
 
@@ -154,6 +66,5 @@ int main(int argc, char** argv) {
       local = std::atoi(argv[i]);
   }
   bench::figure8(smoke ? 12 : local);
-  bench::batched_ladder(smoke);
   return 0;
 }

@@ -381,9 +381,9 @@ class Session {
   /// Batched tail of sweep()/run_noisy() for backends with
   /// batched_launches(): builds every point's result shell (plan,
   /// slot values, derived seed, initial state) and ships the whole set
-  /// through ExecutorBackend::execute_batch — one command list per
-  /// stage instead of one execute() per point. Bit-identical to
-  /// calling run_with_slots() per point.
+  /// through ExecutorBackend::execute_batch — one stage-major walk
+  /// with bind reuse instead of one execute() per point. Bit-identical
+  /// to calling run_with_slots() per point.
   std::vector<SimulationResult> run_batch_with_slots(
       const CompiledCircuit& compiled, std::vector<SlotValues> values) const;
   /// Guards shared by run()/sweep(): valid handle, matching shape.

@@ -26,12 +26,6 @@ struct ClusterConfig {
   int gpus_per_node = 0;
   /// Worker threads for per-shard parallelism (0 = hardware).
   int num_threads = 0;
-  /// Capacity ceiling for the device backend's staging arena (two
-  /// slots per physical GPU), in bytes; 0 = unlimited. The "device"
-  /// executor refuses clusters whose double-buffered staging footprint
-  /// exceeds this, and "auto" surfaces the refusal as a typed capacity
-  /// error when no backend is left.
-  std::uint64_t max_staging_bytes = 0;
 
   int num_nodes() const { return 1 << global_qubits; }
   int shards_per_node() const { return 1 << regional_qubits; }

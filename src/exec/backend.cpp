@@ -1,20 +1,26 @@
 #include "exec/backend.h"
 
+#include <utility>
+
 #include "common/error.h"
-#include "exec/device_executor.h"
 
 namespace atlas::exec {
 namespace {
 
-class InMemoryBackend final : public ExecutorBackend {
+/// Every built-in name runs the one stage walk; they differ only in
+/// which cluster shapes validate() accepts.
+class WalkBackend final : public ExecutorBackend {
  public:
-  std::string name() const override { return "inmemory"; }
+  WalkBackend(std::string name, bool refuses_offloading)
+      : name_(std::move(name)), refuses_offloading_(refuses_offloading) {}
+
+  std::string name() const override { return name_; }
   void validate(const device::ClusterConfig& cfg) const override {
-    ATLAS_CHECK(!cfg.offloading(),
-                "the inmemory executor needs one GPU per shard: "
-                    << cfg.shards_per_node() << " shards/node but only "
-                    << cfg.gpus_per_node
-                    << " gpus/node; use the 'offload' executor");
+    ATLAS_CHECK(!refuses_offloading_ || !cfg.offloading(),
+                "the " << name_ << " executor needs one GPU per shard: "
+                       << cfg.shards_per_node() << " shards/node but only "
+                       << cfg.gpus_per_node
+                       << " gpus/node; use the 'offload' executor");
   }
   ExecutionReport execute(const ExecutionPlan& plan,
                           const device::Cluster& cluster, DistState& state,
@@ -22,69 +28,23 @@ class InMemoryBackend final : public ExecutorBackend {
     validate(cluster.config());  // guards direct registry users too
     return execute_plan(plan, cluster, state, env);
   }
-};
-
-class OffloadBackend final : public ExecutorBackend {
- public:
-  std::string name() const override { return "offload"; }
-  ExecutionReport execute(const ExecutionPlan& plan,
-                          const device::Cluster& cluster, DistState& state,
-                          const ParamEnv& env) const override {
-    // execute_plan meters the per-stage swap traffic whenever the
-    // cluster holds more shards than GPUs (Section VII-C).
-    return execute_plan(plan, cluster, state, env);
-  }
-};
-
-class AutoBackend final : public ExecutorBackend {
- public:
-  std::string name() const override { return "auto"; }
-
-  /// Resolves the backend "auto" stands for under `cfg`: "inmemory"
-  /// when every shard fits a GPU, otherwise "device" (batched launches
-  /// plus real staging beat the metering-only "offload" backend).
-  /// Throws a typed capacity error when no backend is viable —
-  /// offloading rules out "inmemory" by definition, so if the device
-  /// staging arena does not fit either, there is nothing left to pick.
-  static std::shared_ptr<ExecutorBackend> resolve(
-      const device::ClusterConfig& cfg) {
-    if (!cfg.offloading()) return executor_registry().create("inmemory");
-    std::shared_ptr<ExecutorBackend> device =
-        executor_registry().create("device");
-    try {
-      device->validate(cfg);
-    } catch (const Error& e) {
-      throw Error(
-          std::string("no executor backend can serve this cluster shape: "
-                      "'inmemory' needs one GPU per shard (") +
-              std::to_string(cfg.shards_per_node()) + " shards/node, " +
-              std::to_string(cfg.gpus_per_node) +
-              " gpus/node) and 'device' refused it: " + e.what(),
-          ErrorCode::capacity);
-    }
-    return device;
-  }
-
-  void validate(const device::ClusterConfig& cfg) const override {
-    resolve(cfg);  // surfaces the typed capacity error at construction
-  }
+  /// Offloading shapes batch: a sweep's points then share each stage's
+  /// parameter-independent kernel binds. Other shapes keep fanning
+  /// points out on the session's dispatch pool, which runs them
+  /// concurrently.
   bool batched_launches(const device::ClusterConfig& cfg) const override {
-    return resolve(cfg)->batched_launches(cfg);
-  }
-  DistState initial_state(const ExecutionPlan& plan,
-                          const device::Cluster& cluster) const override {
-    return resolve(cluster.config())->initial_state(plan, cluster);
-  }
-  ExecutionReport execute(const ExecutionPlan& plan,
-                          const device::Cluster& cluster, DistState& state,
-                          const ParamEnv& env) const override {
-    return resolve(cluster.config())->execute(plan, cluster, state, env);
+    return cfg.offloading();
   }
   std::vector<ExecutionReport> execute_batch(
       const ExecutionPlan& plan, const device::Cluster& cluster,
       const std::vector<BatchPoint>& points) const override {
-    return resolve(cluster.config())->execute_batch(plan, cluster, points);
+    validate(cluster.config());
+    return execute_plan(plan, cluster, points);
   }
+
+ private:
+  std::string name_;
+  bool refuses_offloading_;
 };
 
 }  // namespace
@@ -92,10 +52,12 @@ class AutoBackend final : public ExecutorBackend {
 ExecutorRegistry& executor_registry() {
   static ExecutorRegistry* registry = [] {
     auto* r = new ExecutorRegistry("executor");
-    r->add("inmemory", [] { return std::make_shared<InMemoryBackend>(); });
-    r->add("offload", [] { return std::make_shared<OffloadBackend>(); });
-    r->add("device", [] { return std::make_shared<DeviceExecutor>(); });
-    r->add("auto", [] { return std::make_shared<AutoBackend>(); });
+    r->add("inmemory",
+           [] { return std::make_shared<WalkBackend>("inmemory", true); });
+    r->add("offload",
+           [] { return std::make_shared<WalkBackend>("offload", false); });
+    r->add("auto",
+           [] { return std::make_shared<WalkBackend>("auto", false); });
     return r;
   }();
   return *registry;

@@ -3,19 +3,21 @@
 /// \file backend.h
 /// The pluggable execution seam: a polymorphic ExecutorBackend over
 /// EXECUTE plus a string-keyed registry so external runtimes can plug
-/// in without touching core headers. Built-ins:
+/// in without touching core headers. The built-ins are three names for
+/// the one stage walk (exec::execute_plan in executor.h):
 ///
 ///  * "inmemory" — every shard GPU-resident; refuses clusters
 ///    configured for DRAM offloading (typed atlas::Error) so capacity
 ///    mistakes surface at session construction, not mid-run.
-///  * "offload"  — offload-aware: shards may outnumber GPUs and swap
-///    through them, with the staging traffic metered (Section VII-C).
-///  * "device"   — device-style backend (exec/device_executor.h):
-///    explicit buffer lifecycle, an async command queue overlapping
-///    copies with kernel replay, and batched launches that amortize
-///    per-point setup across a sweep or trajectory batch.
-///  * "auto"     — "device" when offloading (typed capacity error when
-///    the staging arena does not fit either), "inmemory" otherwise.
+///  * "offload"  — accepts every shape: shards may outnumber GPUs and
+///    swap through them, with the staging traffic metered (Section
+///    VII-C).
+///  * "auto"     — the default; accepts every shape, like "offload".
+///
+/// On offloading shapes the built-ins report batched_launches(), so
+/// Session::sweep() and noisy-Pauli trajectory chunks run as one batch
+/// through the walk (bind reuse across points); every other shape fans
+/// points out per point on the session's dispatch pool.
 
 #include <memory>
 #include <string>
@@ -25,14 +27,6 @@
 #include "exec/executor.h"
 
 namespace atlas::exec {
-
-/// One point of a batched execution: the point's initial state (run in
-/// place) and its parameter environment. The pointees must stay alive
-/// for the whole execute_batch() call.
-struct BatchPoint {
-  DistState* state = nullptr;
-  ParamEnv env;
-};
 
 /// An execution runtime. Implementations run a plan over a distributed
 /// state, mutating the state in place and returning timing/traffic.
@@ -69,10 +63,9 @@ class ExecutorBackend {
 
   /// True when this backend amortizes per-point work across a batch on
   /// `cfg`-shaped clusters: Session::sweep()/run_noisy() then route
-  /// whole point sets through execute_batch() (one command list per
-  /// stage, bind-many deltas) instead of fanning execute() out per
-  /// point. Takes the config because delegating backends ("auto")
-  /// answer per shape.
+  /// whole point sets through execute_batch() instead of fanning
+  /// execute() out per point. Takes the config because the answer may
+  /// depend on the shape (the built-ins batch only when offloading).
   virtual bool batched_launches(const device::ClusterConfig&) const {
     return false;
   }

@@ -28,57 +28,69 @@ DistState initial_state(const ExecutionPlan& plan,
   return DistState::zero_state(layout);
 }
 
-ExecutionReport execute_plan(const ExecutionPlan& plan,
-                             const device::Cluster& cluster, DistState& state,
-                             const ParamEnv& env) {
+namespace {
+
+/// The stage walk over `count` points, writing `reports[p]` for each.
+/// Takes raw arrays so a batch of one needs no heap container.
+void walk(const ExecutionPlan& plan, const device::Cluster& cluster,
+          const BatchPoint* points, std::size_t count,
+          ExecutionReport* reports) {
   const auto& cfg = cluster.config();
-  ATLAS_CHECK(state.num_qubits() == cfg.total_qubits(),
-              "state does not match the cluster shape");
-  ExecutionReport report;
+  for (std::size_t p = 0; p < count; ++p) {
+    ATLAS_CHECK(points[p].state, "null state in batch point " << p);
+    ATLAS_CHECK(points[p].state->num_qubits() == cfg.total_qubits(),
+                "state does not match the cluster shape");
+  }
   Timer total_timer;
   {
     static obs::Counter& runs = obs::counter(obs::names::kExecRuns);
-    runs.inc();
+    runs.add(count);
   }
 
   std::int64_t stage_index = 0;
   for (const PlannedStage& stage : plan.stages) {
-    StageReport sr;
     obs::TraceSpan stage_span(obs::names::kSpanExecStage, stage_index);
     Timer stage_timer;
+    // The first point's program is the bind-reuse base for the rest of
+    // the batch; it is valid only for points that bind the same
+    // skeleton (a point entering under another layout rebinds fully).
+    StageProgram base;
+    std::shared_ptr<const StageSkeleton> base_skeleton;
 
-    // SHARD: permute the state into the stage's partition.
-    {
-      Timer t;
-      const Layout target = Layout::for_partition(
-          stage.partition, cfg.local_qubits, cfg.regional_qubits,
-          state.layout());
-      sr.stats += remap(state, target, cluster);
-      sr.comm_seconds = t.seconds();
-    }
+    for (std::size_t p = 0; p < count; ++p) {
+      DistState& state = *points[p].state;
+      StageReport sr;
 
-    // Kernels: compile the stage once per run — bind-time parameter
-    // materialization (dense slot table, no subcircuit copy), gate
-    // localization, fusion products, and shm gather maps are all
-    // shard-invariant — then replay the program on every shard, where
-    // only the cheap non-local-bit decisions remain.
-    {
+      // SHARD: permute the state into the stage's partition.
+      {
+        Timer t;
+        const Layout target = Layout::for_partition(
+            stage.partition, cfg.local_qubits, cfg.regional_qubits,
+            state.layout());
+        sr.stats += remap(state, target, cluster);
+        sr.comm_seconds = t.seconds();
+      }
+
+      // Kernels: bind the stage's cached binding-independent skeleton
+      // to this point's values — parameter materialization, fusion
+      // products and shm tables are all shard-invariant — then replay
+      // the program on every shard, where only the cheap non-local-bit
+      // decisions remain.
       Timer t;
-      ATLAS_CHECK(!stage.subcircuit.is_parameterized() || !env.empty(),
+      ATLAS_CHECK(!stage.subcircuit.is_parameterized() ||
+                      !points[p].env.empty(),
                   "execution plan has unbound symbolic parameters ("
                       << stage.subcircuit.symbols().front()
                       << ", ...); pass a ParamBinding");
-      // The binding-independent skeleton is cached on the plan: repeat
-      // runs (sweep points, noise trajectories) only re-fill matrix
-      // values.
       obs::TraceSpan bind_span(obs::names::kSpanExecBind, stage_index);
       const std::shared_ptr<const StageSkeleton> skeleton =
           stage.skeleton->get_or_build(state.layout(), [&] {
             return compile_stage_skeleton(stage.subcircuit, stage.kernels,
                                           state.layout());
           });
-      const StageProgram program =
-          bind_stage_program(stage.subcircuit, *skeleton, env);
+      const bool reuse = p > 0 && skeleton == base_skeleton;
+      StageProgram program = bind_stage_program(
+          stage.subcircuit, *skeleton, points[p].env, reuse ? &base : nullptr);
       bind_span.end();
       const Index shard_size = state.shard_size();
 
@@ -111,6 +123,16 @@ ExecutionReport execute_plan(const ExecutionPlan& plan,
             2ull * reloads * state.num_shards() * shard_size * sizeof(Amp);
       }
       sr.compute_seconds = t.seconds();
+
+      if (p == 0) {
+        base = std::move(program);
+        base_skeleton = skeleton;
+      }
+      ExecutionReport& report = reports[p];
+      report.totals += sr.stats;
+      report.comm_seconds += sr.comm_seconds;
+      report.compute_seconds += sr.compute_seconds;
+      report.stages.push_back(std::move(sr));
     }
 
     stage_span.end();
@@ -119,22 +141,31 @@ ExecutionReport execute_plan(const ExecutionPlan& plan,
           obs::histogram(obs::names::kExecStageUs);
       stage_us.observe(stage_timer.seconds() * 1e6);
     }
-    report.totals += sr.stats;
-    report.comm_seconds += sr.comm_seconds;
-    report.compute_seconds += sr.compute_seconds;
-    report.stages.push_back(std::move(sr));
     ++stage_index;
   }
-  report.wall_seconds = total_timer.seconds();
-  return report;
+  const double wall = total_timer.seconds();
+  for (std::size_t p = 0; p < count; ++p) reports[p].wall_seconds = wall;
+}
+
+}  // namespace
+
+std::vector<ExecutionReport> execute_plan(
+    const ExecutionPlan& plan, const device::Cluster& cluster,
+    const std::vector<BatchPoint>& points) {
+  std::vector<ExecutionReport> reports(points.size());
+  walk(plan, cluster, points.data(), points.size(), reports.data());
+  return reports;
 }
 
 ExecutionReport execute_plan(const ExecutionPlan& plan,
                              const device::Cluster& cluster, DistState& state,
-                             const ParamBinding* binding) {
-  ParamEnv env;
-  env.named = binding;
-  return execute_plan(plan, cluster, state, env);
+                             const ParamEnv& env) {
+  BatchPoint point;
+  point.state = &state;
+  point.env = env;
+  ExecutionReport report;
+  walk(plan, cluster, &point, 1, &report);
+  return report;
 }
 
 std::size_t approx_resident_bytes(const ExecutionPlan& plan) {

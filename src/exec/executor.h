@@ -1,12 +1,24 @@
 #pragma once
 
 /// \file executor.h
-/// The EXECUTE algorithm (paper Algorithm 1): runs a partitioned
-/// circuit — stages of kernels — over the distributed state, doing the
-/// all-to-all reshard between stages and launching each stage's
-/// kernels on every shard in parallel. Supports DRAM offloading: when
-/// the cluster has fewer GPUs than shards, shards are swapped through
-/// the GPUs and the staging traffic is metered.
+/// The EXECUTE algorithm (paper Algorithm 1) — the one stage walk
+/// every executor backend runs. For each stage it reshards the state
+/// into the stage's partition (the all-to-all remap), binds the stage's
+/// cached skeleton to a StageProgram, meters the modeled traffic, and
+/// replays the program on every shard in parallel.
+///
+/// The walk takes a batch of points and runs it stage-major: per stage,
+/// every point remaps, binds and replays in turn, and the first point's
+/// StageProgram is the reuse base for the rest (value-aware: a kernel
+/// whose resolved parameter values match the base is shared, not
+/// re-materialized). An N-point batch therefore pays K + (N-1)*P kernel
+/// binds for a stage of K kernels, P of which the points vary. A single
+/// run is a batch of one.
+///
+/// DRAM offloading (Section VII-C) changes no numerics: when the
+/// cluster has fewer GPUs than shards, shards are modeled as swapping
+/// through the GPUs and the staging traffic is metered into
+/// CommStats::offload_bytes.
 
 #include <memory>
 #include <vector>
@@ -65,22 +77,31 @@ struct ExecutionReport {
                          int nodes) const;
 };
 
-/// Executes `plan` on `cluster` over `state`. Plans hold only gate
-/// *structure*; each stage is compiled once per run into a StageProgram
-/// (matrices materialized against `env`, gates localized, kernels
-/// lowered) and replayed across shards, so a plan whose gates carry
-/// symbolic parameters (compile-once / bind-many) executes by resolving
-/// them against env.slots (dense slot table, canonical plans) or
-/// env.named (free user symbols). Passing a plan with unbound symbols
-/// and an empty env throws atlas::Error.
+/// One point of a batched execution: the point's initial state (run in
+/// place) and its parameter environment. The pointees must stay alive
+/// for the whole execute_plan() call.
+struct BatchPoint {
+  DistState* state = nullptr;
+  ParamEnv env;
+};
+
+/// Executes `plan` on `cluster` over every point of `points`, mutating
+/// each point's state in place, and returns one report per point, in
+/// order. Plans hold only gate *structure*; each stage's skeleton is
+/// built once and cached on the plan, and every point binds it against
+/// its own `env` (dense slot table for canonical plans, named binding
+/// for free user symbols). Every point's state is bit-identical to
+/// running that point alone, and so is its CommStats metering; its
+/// wall_seconds is the whole batch's. Throws atlas::Error when a plan
+/// with unbound symbols meets an empty env.
+std::vector<ExecutionReport> execute_plan(const ExecutionPlan& plan,
+                                          const device::Cluster& cluster,
+                                          const std::vector<BatchPoint>& points);
+
+/// A batch of one.
 ExecutionReport execute_plan(const ExecutionPlan& plan,
                              const device::Cluster& cluster, DistState& state,
                              const ParamEnv& env = {});
-
-/// Compatibility overload: named-binding-only environments.
-ExecutionReport execute_plan(const ExecutionPlan& plan,
-                             const device::Cluster& cluster, DistState& state,
-                             const ParamBinding* binding);
 
 /// Convenience: build the initial distributed state for a plan (stage
 /// 0's partition as the initial layout, which is free — Eq. (2) only

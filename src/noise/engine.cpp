@@ -118,8 +118,8 @@ noise::NoisyResult Session::run_noisy(
   ATLAS_CHECK(options.trajectories >= 1,
               "run_noisy needs trajectories >= 1, got "
                   << options.trajectories);
-  ATLAS_CHECK(options.shots >= 0,
-              "run_noisy shots is negative: " << options.shots);
+  ATLAS_CHECK_ARG(options.shots >= 0,
+                  "run_noisy shots is negative: " << options.shots);
   if (options.accumulate_probabilities)
     ATLAS_CHECK(circuit.num_qubits() <= noise::kMaxProbabilityQubits,
                 "accumulate_probabilities is capped at "
@@ -170,10 +170,10 @@ noise::NoisyResult Session::run_noisy(
         base[i] = options.binding.at(sym);  // throws naming the symbol
     }
     if (executor_->batched_launches(cluster_.config())) {
-      // Batched launches: each chunk of trajectories ships as one
-      // command list per stage (constant kernels bind once, every
-      // trajectory enqueues only its sampled-angle delta). Seeds,
-      // states, and sample streams are bit-identical to the
+      // Batched launches: each chunk of trajectories runs as one batch
+      // through the stage walk (constant kernels bind once per stage,
+      // every trajectory re-binds only its sampled-angle kernels).
+      // Seeds, states, and sample streams are bit-identical to the
       // per-trajectory path — batching is scheduling, not semantics.
       for (std::size_t begin = 0; begin < count;
            begin += kTrajectoryBatchChunk) {
@@ -276,7 +276,8 @@ noise::NoisyResult Session::sample_noisy(const Circuit& circuit,
                                          const noise::NoiseModel& model,
                                          int shots,
                                          noise::NoisyRunOptions options) const {
-  ATLAS_CHECK(shots >= 1, "sample_noisy needs shots >= 1, got " << shots);
+  ATLAS_CHECK_ARG(shots >= 1,
+                  "sample_noisy needs shots >= 1, got " << shots);
   options.shots = shots;
   return run_noisy(circuit, model, options);
 }

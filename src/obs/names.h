@@ -40,8 +40,9 @@ inline constexpr char kExecStageUs[] = "exec.stage_us";
 inline constexpr char kSkeletonCacheHits[] = "exec.skeleton_cache.hits";
 inline constexpr char kSkeletonCacheMisses[] = "exec.skeleton_cache.misses";
 
-// --- device backend (device/buffer.cpp, device/command_queue.cpp,
-// --- exec/device_executor.cpp) ----------------------------------------
+// --- deprecated: the removed device backend's metrics. No producer
+// --- registers them; kept because the catalog is append-only (see
+// --- docs/OBSERVABILITY.md) ---------------------------------------------
 inline constexpr char kDeviceQueueDepth[] = "device.queue.depth";
 inline constexpr char kDeviceUploadBytes[] = "device.upload_bytes";
 inline constexpr char kDeviceDownloadBytes[] = "device.download_bytes";
@@ -75,6 +76,7 @@ inline constexpr char kSpanExecStage[] = "exec.stage";
 inline constexpr char kSpanExecBind[] = "exec.bind";
 inline constexpr char kSpanExecShard[] = "exec.shard";
 inline constexpr char kSpanNoiseBatch[] = "noise.batch";
+// Deprecated, no producer (the removed device backend's spans).
 inline constexpr char kSpanDeviceStage[] = "device.stage";
 inline constexpr char kSpanDeviceBatch[] = "device.batch";
 inline constexpr char kSpanDeviceH2D[] = "device.h2d";

@@ -282,6 +282,31 @@ TEST(RunNoisy, OptionValidationAndResultGuards) {
   EXPECT_THROW(r.expectation_z(17), Error);    // qubit out of range
 }
 
+TEST(RunNoisy, BadShotCountsAreInvalidArgument) {
+  // A caller's bad shot count is an argument error, not an internal
+  // fault of the engine.
+  const Circuit c = test_circuit(4);
+  NoiseModel model;
+  model.after_all_gates(KrausChannel::bit_flip(0.1));
+  const Session session(shaped(3, 1, 0));
+  const auto code_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const Error& e) {
+      return e.code();
+    }
+    ADD_FAILURE() << "expected a throw";
+    return ErrorCode::internal;
+  };
+  NoisyRunOptions opts;
+  opts.trajectories = 4;
+  opts.shots = -1;
+  EXPECT_EQ(code_of([&] { session.run_noisy(c, model, opts); }),
+            ErrorCode::invalid_argument);
+  EXPECT_EQ(code_of([&] { session.sample_noisy(c, model, 0); }),
+            ErrorCode::invalid_argument);
+}
+
 TEST(RunNoisy, ParameterizedCircuitBindsThroughOptions) {
   Circuit c(4, "ansatz");
   for (Qubit q = 0; q < 4; ++q) c.add(Gate::h(q));
