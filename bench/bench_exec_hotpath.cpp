@@ -9,15 +9,22 @@
 //             classified in-place fast paths;
 //   shm     : a shared-memory kernel replayed across shards — seed
 //             rebuild-per-invocation vs one compiled ShmProgram;
+//   roofline: run-large's shared-memory kernels (ghz/qft/qpeexact, 21
+//             qubits, L18 R2 G1) replayed on one 2^18-amp shard — the
+//             interleaved per-gate replay the split re/im layout
+//             replaced vs run_shm_program, in GB/s and as a fraction
+//             of a single-thread memcpy probe;
 //   e2e     : compile()+sweep() vs per-binding simulate() (bit-identity
 //             gate on the whole pipeline).
 //
 // Every timed pair runs the same gates on copies of the same buffer and
 // the results are compared with operator== (exact; -0.0 == +0.0), so
 // the speedup is never bought with different arithmetic. Full mode
-// gates on >= 2x geomean speedup for the general k-qubit path (k>=2);
-// --smoke shrinks buffers and skips the flaky-on-CI perf gate; --json
-// PATH emits a BENCH_exec.json artifact for trend tracking.
+// gates on >= 2x geomean speedup for the general k-qubit path (k>=2)
+// and on shared-memory replay at >= 0.5 of the memcpy probe; --smoke
+// shrinks buffers and skips the flaky-on-CI perf gates (the roofline
+// section still checks every kernel bit for bit); --json PATH emits a
+// BENCH_exec.json artifact for trend tracking.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,6 +34,9 @@
 
 #include "common/bits.h"
 #include "common/timer.h"
+#include "exec/layout.h"
+#include "exec/partial_eval.h"
+#include "exec/stage_program.h"
 #include "sim/apply.h"
 #include "sim/shm_executor.h"
 #include "util.h"
@@ -232,6 +242,175 @@ PairResult time_pair(const std::vector<Amp>& initial,
   return out;
 }
 
+// --- Shared-memory replay before the split re/im layout -----------------
+
+/// A shared-memory kernel as the interleaved replay ran it: active bits,
+/// gather map and the members prepared at scratch positions.
+struct InterleavedShm {
+  std::vector<int> active;
+  std::vector<Index> offset;
+  std::vector<PreparedGate> gates;
+};
+
+InterleavedShm prepare_interleaved_shm(const std::vector<MatrixOp>& ops) {
+  InterleavedShm k;
+  k.active = {0, 1, 2};
+  for (const MatrixOp& op : ops) {
+    k.active.insert(k.active.end(), op.targets.begin(), op.targets.end());
+    k.active.insert(k.active.end(), op.controls.begin(), op.controls.end());
+  }
+  std::sort(k.active.begin(), k.active.end());
+  k.active.erase(std::unique(k.active.begin(), k.active.end()),
+                 k.active.end());
+  const Index batch = Index{1} << k.active.size();
+  for (Index v = 0; v < batch; ++v)
+    k.offset.push_back(spread_bits(v, k.active));
+  const std::vector<int> pos = inverse_index(k.active);
+  for (const MatrixOp& op : ops) {
+    MatrixOp local{op.m, {}, {}};
+    for (int b : op.targets) local.targets.push_back(pos[b]);
+    for (int b : op.controls) local.controls.push_back(pos[b]);
+    k.gates.push_back(prepare_gate(local));
+  }
+  return k;
+}
+
+/// The replay loop before the split layout: gather the batch as
+/// interleaved complex values, apply_prepared() per member, scatter.
+void run_interleaved_shm(Amp* data, Index size, const InterleavedShm& k,
+                         std::vector<Amp>& scratch) {
+  const Index batch = Index{1} << k.active.size();
+  scratch.resize(batch);
+  Amp* shm = scratch.data();
+  for (Index b = 0; b < (size >> k.active.size()); ++b) {
+    const Index base = insert_zero_bits(b, k.active);
+    for (Index v = 0; v < batch; ++v) shm[v] = data[base | k.offset[v]];
+    for (const PreparedGate& g : k.gates) apply_prepared(shm, batch, g);
+    for (Index v = 0; v < batch; ++v) data[base | k.offset[v]] = shm[v];
+  }
+}
+
+/// One run-large shared-memory kernel as shard 0 replays it: the
+/// program the stage walk binds, and the same members resolved from the
+/// stage's gates (so the reference does not read the lowered program).
+struct RunLargeShm {
+  ShmProgram prog;
+  InterleavedShm reference;
+};
+
+/// Walks the layouts of run-large's plans (the stage walk's sequence,
+/// without moving amplitudes) and collects every shared-memory kernel
+/// variant shard 0 replays.
+std::vector<RunLargeShm> run_large_shm_kernels() {
+  constexpr int kQubits = 21, kLocal = 18, kRegional = 2;
+  SessionConfig cfg;
+  cfg.cluster.local_qubits = kLocal;
+  cfg.cluster.regional_qubits = kRegional;
+  cfg.cluster.global_qubits = kQubits - kLocal - kRegional;
+  cfg.cluster.gpus_per_node = 4;
+  cfg.cluster.num_threads = 1;
+  const Session session(cfg);
+  std::vector<RunLargeShm> out;
+  for (const char* name : {"ghz", "qft", "qpeexact"}) {
+    const CompiledCircuit compiled =
+        session.compile(circuits::make_family(name, kQubits));
+    const exec::ExecutionPlan& plan = *compiled.plan();
+    const SlotValues slots = compiled.slot_values(ParamBinding{});
+    ParamEnv env;
+    env.slots = &slots;
+    exec::Layout layout = exec::Layout::for_partition(
+        plan.stages.front().partition, kLocal, kRegional,
+        exec::Layout::identity(kQubits, kLocal));
+    for (const exec::PlannedStage& stage : plan.stages) {
+      layout = exec::Layout::for_partition(stage.partition, kLocal,
+                                           kRegional, layout);
+      const exec::StageSkeleton skel =
+          exec::compile_stage_skeleton(stage.subcircuit, stage.kernels,
+                                       layout);
+      const exec::StageProgram prog =
+          exec::bind_stage_program(stage.subcircuit, skel, env);
+      layout.shard_xor = prog.final_xor;
+      for (std::size_t k = 0; k < skel.kernels.size(); ++k) {
+        const exec::KernelVariant& v = prog.kernels[k]->variants[0];
+        if (v.op != exec::KernelVariant::Op::Shm) continue;
+        const auto& ks = skel.kernels[k];
+        std::vector<MatrixOp> ops;
+        for (const auto& f : ks.variants[0].ops) {
+          const auto& slot = ks.slots[static_cast<std::size_t>(f.slot)];
+          const Gate& g = stage.subcircuit.gate(slot.gate);
+          if (slot.kind ==
+              exec::StageSkeleton::GateSlot::Case::DiagRestrict) {
+            // A diagonal on a non-local qubit: shard 0's slice of it.
+            ops.push_back(MatrixOp{
+                exec::restrict_diagonal(g.full_matrix_resolved(env),
+                                        slot.local_pos, f.fixed),
+                slot.targets, {}});
+          } else {
+            ops.push_back(MatrixOp{g.target_matrix_resolved(env),
+                                   slot.targets, slot.controls});
+          }
+        }
+        out.push_back(RunLargeShm{v.shm, prepare_interleaved_shm(ops)});
+      }
+    }
+  }
+  return out;
+}
+
+/// Single-thread memcpy GB/s (bytes copied / s), median of 5 copies —
+/// the definition of perfbench's host.memcpy_gbps_1t.
+double memcpy_gbps_1t(std::size_t bytes) {
+  std::vector<char> src(bytes, 1), dst(bytes, 0);
+  std::vector<double> runs;
+  for (int rep = 0; rep < 5; ++rep) {
+    Timer t;
+    std::memcpy(dst.data(), src.data(), bytes);
+    runs.push_back(static_cast<double>(bytes) / t.seconds() / 1e9);
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[2];
+}
+
+struct RooflineResult {
+  int kernels = 0;
+  double old_gbps = 0, new_gbps = 0, memcpy_gbps = 0;
+  bool identical = true;
+  double old_frac() const { return old_gbps / memcpy_gbps; }
+  double new_frac() const { return new_gbps / memcpy_gbps; }
+};
+
+/// Replays every run-large shared-memory kernel on one 2^18-amp shard
+/// through both loops, checking each kernel's result with memcmp (so
+/// even the sign of a zero must agree). GB/s counts each kernel as one
+/// read and one write of the shard, like perfbench's sim.replay_gbps.
+RooflineResult shm_roofline(bool smoke) {
+  RooflineResult r;
+  const std::vector<RunLargeShm> kernels = run_large_shm_kernels();
+  r.kernels = static_cast<int>(kernels.size());
+  const int reps = smoke ? 1 : 5;
+  std::vector<Amp> a = random_buffer(18, 0x5EED), b = a;
+  const Index size = static_cast<Index>(a.size());
+  std::vector<Amp> scratch;
+  double old_s = 0, new_s = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const RunLargeShm& k : kernels) {
+      Timer t_old;
+      run_interleaved_shm(a.data(), size, k.reference, scratch);
+      old_s += t_old.seconds();
+      Timer t_new;
+      run_shm_program(b.data(), size, k.prog, scratch);
+      new_s += t_new.seconds();
+      r.identical &= std::memcmp(a.data(), b.data(), size * sizeof(Amp)) == 0;
+    }
+  }
+  const double bytes = 2.0 * static_cast<double>(size * sizeof(Amp)) *
+                       static_cast<double>(reps * r.kernels);
+  r.old_gbps = bytes / old_s / 1e9;
+  r.new_gbps = bytes / new_s / 1e9;
+  r.memcpy_gbps = memcpy_gbps_1t((smoke ? std::size_t{16} : std::size_t{64}) << 20);
+  return r;
+}
+
 int run(bool smoke, const char* json_path) {
   const int n = smoke ? 16 : 20;
   const int reps = smoke ? 2 : 4;
@@ -345,6 +524,22 @@ int run(bool smoke, const char* json_path) {
 
   std::printf("\ngeneral k-qubit geomean (k=2..5): %5.2fx\n", general_geomean);
 
+  // --- Shm roofline: run-large's shared-memory kernels on one shard.
+  const RooflineResult roof = shm_roofline(smoke);
+  all_identical &= roof.identical;
+  std::printf(
+      "\nShm roofline: %d run-large kernels on a 2^18-amp shard, 1 "
+      "thread\n",
+      roof.kernels);
+  std::printf("  %-30s %8s %9s\n", "replay", "GB/s", "memcpy%");
+  std::printf("  %-30s %8.2f %8.1f%%\n", "interleaved per-gate (old)",
+              roof.old_gbps, 100 * roof.old_frac());
+  std::printf("  %-30s %8.2f %8.1f%%\n", "split re/im (run_shm_program)",
+              roof.new_gbps, 100 * roof.new_frac());
+  std::printf("  memcpy probe %.2f GB/s; speedup %.2fx; bit-identical: %s\n",
+              roof.memcpy_gbps, roof.new_gbps / roof.old_gbps,
+              roof.identical ? "yes" : "NO");
+
   // --- end-to-end bit-identity gate: compile()+sweep() == simulate().
   bool e2e_identical = true;
   {
@@ -386,6 +581,14 @@ int run(bool smoke, const char* json_path) {
     std::fprintf(f, "  \"diag_speedup\": %.3f,\n", diag_speedup);
     std::fprintf(f, "  \"perm_speedup\": %.3f,\n", perm_speedup);
     std::fprintf(f, "  \"shm_speedup\": %.3f,\n", shm_speedup);
+    std::fprintf(f,
+                 "  \"shm_roofline\": {\"kernels\": %d, "
+                 "\"old_gbps\": %.3f, \"new_gbps\": %.3f, "
+                 "\"memcpy_gbps_1t\": %.3f, \"old_memcpy_frac\": %.3f, "
+                 "\"new_memcpy_frac\": %.3f, \"bit_identical\": %s},\n",
+                 roof.kernels, roof.old_gbps, roof.new_gbps,
+                 roof.memcpy_gbps, roof.old_frac(), roof.new_frac(),
+                 roof.identical ? "true" : "false");
     std::fprintf(f, "  \"bit_identical\": %s\n}\n",
                  (all_identical && e2e_identical) ? "true" : "false");
     std::fclose(f);
@@ -401,6 +604,11 @@ int run(bool smoke, const char* json_path) {
   if (!smoke && general_geomean < 2.0) {
     std::printf("FAIL: general k-qubit apply speedup %.2fx < 2x target\n",
                 general_geomean);
+    return 1;
+  }
+  if (!smoke && roof.new_frac() < 0.5) {
+    std::printf("FAIL: Shm replay at %.2f of memcpy < 0.5 target\n",
+                roof.new_frac());
     return 1;
   }
   std::printf("check: all kernels bit-identical to seed loops — %s\n",

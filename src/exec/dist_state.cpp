@@ -4,12 +4,18 @@
 
 namespace atlas::exec {
 
-DistState DistState::zero_state(const Layout& layout) {
+DistState DistState::zero_state(const Layout& layout, ThreadPool& pool) {
   DistState st;
   st.layout_ = layout;
   const int num_shards = 1 << (layout.num_qubits() - layout.num_local);
-  st.shards_.assign(num_shards,
-                    std::vector<Amp>(Index{1} << layout.num_local, Amp{}));
+  // Allocate here, so the memory comes from (and returns to) the
+  // caller's malloc arena like every later state and remap buffer; the
+  // workers only zero-fill within capacity, which first-touches it.
+  st.shards_.resize(num_shards);
+  for (std::vector<Amp>& shard : st.shards_) shard.reserve(st.shard_size());
+  pool.parallel_for(st.shards_.size(), [&](std::size_t s) {
+    st.shards_[s].resize(st.shard_size());
+  });
   const auto [s, o] = layout.locate(0);
   st.shards_[s][o] = Amp(1, 0);
   return st;

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "exec/layout.h"
 #include "sim/state_vector.h"
@@ -16,7 +17,9 @@ namespace atlas::exec {
 class DistState {
  public:
   /// |0...0> distributed over 2^(num_qubits - layout.num_local) shards.
-  static DistState zero_state(const Layout& layout);
+  /// The shards are zero-filled in parallel on `pool`, so their pages
+  /// are first touched by the pool's workers.
+  static DistState zero_state(const Layout& layout, ThreadPool& pool);
 
   /// Distributes a full state vector according to `layout`.
   static DistState scatter(const StateVector& sv, const Layout& layout);

@@ -25,7 +25,7 @@ DistState initial_state(const ExecutionPlan& plan,
   const Layout layout = Layout::for_partition(
       plan.stages.front().partition, cfg.local_qubits, cfg.regional_qubits,
       Layout::identity(cfg.total_qubits(), cfg.local_qubits));
-  return DistState::zero_state(layout);
+  return DistState::zero_state(layout, cluster.pool());
 }
 
 namespace {

@@ -103,9 +103,10 @@ ExecutionReport execute_plan(const ExecutionPlan& plan,
                              const device::Cluster& cluster, DistState& state,
                              const ParamEnv& env = {});
 
-/// Convenience: build the initial distributed state for a plan (stage
-/// 0's partition as the initial layout, which is free — Eq. (2) only
-/// charges transitions).
+/// Builds the initial distributed state for a plan (stage 0's partition
+/// as the initial layout, which is free — Eq. (2) only charges
+/// transitions). The shards are zero-filled in parallel on
+/// cluster.pool(), so its workers, not the caller, first touch them.
 DistState initial_state(const ExecutionPlan& plan,
                         const device::Cluster& cluster);
 

@@ -100,6 +100,9 @@ class Server {
   /// \name Test/diagnostic access
   /// @{
   SessionStore& store() { return *store_; }
+  /// The data-plane dispatcher: tests queue internal items on it to
+  /// hold workers at points they control.
+  Dispatcher& dispatcher() { return *dispatcher_; }
   SharedPlanCache::Stats shared_cache_stats() const {
     return shared_cache_->stats();
   }

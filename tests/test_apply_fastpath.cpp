@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
 #include <vector>
 
 #include "common/bits.h"
@@ -172,6 +174,168 @@ TEST_P(FastPathTest, ShmProgramMatchesDirectApplicationExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastPathTest, ::testing::Range(1, 9));
+
+// --- Split re/im shared-memory replay vs the interleaved per-gate loop --
+
+/// The shared-memory replay before the split layout: each batch is
+/// gathered as interleaved complex values, every member runs through
+/// apply_prepared() at its scratch positions, and the batch is
+/// scattered back. run_shm_program must match it bit for bit.
+void interleaved_shm_replay(std::vector<Amp>& data,
+                            const std::vector<MatrixOp>& ops) {
+  std::vector<int> active = {0, 1, 2};
+  for (const MatrixOp& op : ops) {
+    active.insert(active.end(), op.targets.begin(), op.targets.end());
+    active.insert(active.end(), op.controls.begin(), op.controls.end());
+  }
+  std::sort(active.begin(), active.end());
+  active.erase(std::unique(active.begin(), active.end()), active.end());
+  const std::vector<int> pos = inverse_index(active);
+  std::vector<PreparedGate> gates;
+  for (const MatrixOp& op : ops) {
+    MatrixOp local{op.m, {}, {}};
+    for (int b : op.targets) local.targets.push_back(pos[b]);
+    for (int b : op.controls) local.controls.push_back(pos[b]);
+    gates.push_back(prepare_gate(local));
+  }
+  const Index batch = Index{1} << active.size();
+  std::vector<Index> offset(batch);
+  for (Index v = 0; v < batch; ++v) offset[v] = spread_bits(v, active);
+  std::vector<Amp> shm(batch);
+  for (Index b = 0; b < (static_cast<Index>(data.size()) >> active.size());
+       ++b) {
+    const Index base = insert_zero_bits(b, active);
+    for (Index v = 0; v < batch; ++v) shm[v] = data[base | offset[v]];
+    for (const PreparedGate& g : gates) apply_prepared(shm.data(), batch, g);
+    for (Index v = 0; v < batch; ++v) data[base | offset[v]] = shm[v];
+  }
+}
+
+/// A component that is often an exact zero of either sign, so sign-of-
+/// zero differences (e.g. a dropped `0.0 +` accumulator start) show.
+double sparse_component(Rng& rng) {
+  switch (rng.index(4)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    default: return rng.normal();
+  }
+}
+
+Amp sparse_amp(Rng& rng) {
+  return Amp(sparse_component(rng), sparse_component(rng));
+}
+
+/// A random phased permutation matrix of dimension `dim`.
+Matrix phased_permutation(Rng& rng, int dim) {
+  std::vector<int> cols(static_cast<std::size_t>(dim));
+  for (int c = 0; c < dim; ++c) cols[static_cast<std::size_t>(c)] = c;
+  for (int c = dim - 1; c > 0; --c)
+    std::swap(cols[static_cast<std::size_t>(c)],
+              cols[rng.index(static_cast<std::uint64_t>(c) + 1)]);
+  Matrix m(dim, dim);
+  for (int r = 0; r < dim; ++r) m(r, cols[static_cast<std::size_t>(r)]) =
+      rng.amp();
+  return m;
+}
+
+/// One random member of every in-buffer class and of the classes that
+/// take the General path, on bits drawn from `pool`. `kind` picks the
+/// class: 0-1 dense 1q, 2-3 diagonal 1q, 4-5 anti-diagonal 1q, 6-7 2q
+/// permutation (odd = with controls), 8 diagonal 2q, 9 dense 2q, 10
+/// dense 3q, 11 3q permutation.
+MatrixOp random_shm_member(Rng& rng, const std::vector<int>& pool,
+                           int kind) {
+  const int k = kind < 6 ? 1 : (kind < 10 ? 2 : 3);
+  // Odd in-buffer kinds carry 1-2 controls; the General kinds 0-1.
+  const int want = kind < 8 ? (kind % 2) * (1 + static_cast<int>(rng.index(2)))
+                            : static_cast<int>(rng.index(2));
+  const int c = std::min(want, static_cast<int>(pool.size()) - k);
+  std::vector<int> bits = pool;
+  for (int i = 0; i < k + c; ++i)
+    std::swap(bits[static_cast<std::size_t>(i)],
+              bits[static_cast<std::size_t>(i) +
+                   rng.index(bits.size() - static_cast<std::size_t>(i))]);
+  MatrixOp op;
+  op.targets.assign(bits.begin(), bits.begin() + k);
+  op.controls.assign(bits.begin() + k, bits.begin() + k + c);
+  const int dim = 1 << k;
+  op.m = Matrix(dim, dim);
+  switch (kind) {
+    case 0: case 1: case 9: case 10:  // dense, some entries exact zeros
+      for (int r = 0; r < dim; ++r)
+        for (int col = 0; col < dim; ++col)
+          op.m(r, col) = (r + col) % 2 == 0 ? rng.amp() : sparse_amp(rng);
+      break;
+    case 2: case 3: case 8:  // diagonal
+      for (int v = 0; v < dim; ++v) op.m(v, v) = rng.amp();
+      break;
+    default:  // 4-7, 11: phased permutation (1q: anti-diagonal)
+      if (k == 1) {
+        op.m(0, 1) = rng.amp();
+        op.m(1, 0) = rng.amp();
+      } else {
+        op.m = phased_permutation(rng, dim);
+      }
+      break;
+  }
+  return op;
+}
+
+TEST(ShmSplitLayout, MatchesInterleavedPerGateReplayBitForBit) {
+  Rng rng(0x5417);
+  std::vector<Amp> scratch;  // reused across programs, like a shard worker
+  std::set<int> active_sizes;
+  std::set<ShmOp::Kind> kinds;
+  std::set<Index> runs;  // 2^(lowest op bit) of the in-buffer ops
+  for (int trial = 0; trial < 400; ++trial) {
+    // Active bits: the always-active 0-2 plus `extra` high bits of an
+    // n-bit buffer; members draw their bits from that pool.
+    const int extra = static_cast<int>(rng.index(kShmQubits - 2));  // 0..7
+    const int n = 3 + extra + static_cast<int>(rng.index(3));
+    std::vector<int> high;
+    for (int b = 3; b < n; ++b) high.push_back(b);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(extra); ++i)
+      std::swap(high[i], high[i + rng.index(high.size() - i)]);
+    std::vector<int> pool = {0, 1, 2};
+    pool.insert(pool.end(), high.begin(), high.begin() + extra);
+
+    std::vector<MatrixOp> ops;
+    const int members = 1 + static_cast<int>(rng.index(10));
+    for (int i = 0; i < members; ++i)
+      ops.push_back(
+          random_shm_member(rng, pool, static_cast<int>(rng.index(12))));
+
+    std::vector<Amp> a(std::size_t{1} << n);
+    for (Amp& x : a) x = sparse_amp(rng);
+    std::vector<Amp> b = a;
+
+    const ShmProgram prog = compile_shm_program(ops);
+    run_shm_program(a.data(), static_cast<Index>(a.size()), prog, scratch);
+    interleaved_shm_replay(b, ops);
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Amp)), 0)
+        << "trial " << trial << ": " << prog.active.size()
+        << " active bits, " << ops.size() << " members";
+    ASSERT_EQ(a, b);
+
+    active_sizes.insert(static_cast<int>(prog.active.size()));
+    for (const ShmOp& op : prog.ops) {
+      kinds.insert(op.kind);
+      if (op.kind != ShmOp::Kind::General) runs.insert(op.run);
+    }
+  }
+  // The draw covered what the split layout must get right: every active
+  // size, every op class, and runs of 1, 2 and 4 (an op bit among the
+  // always-active bits 0-2) as well as longer ones.
+  for (int s = 3; s <= kShmQubits; ++s)
+    EXPECT_TRUE(active_sizes.count(s)) << "no program with " << s
+                                       << " active bits";
+  for (ShmOp::Kind k :
+       {ShmOp::Kind::Dense1q, ShmOp::Kind::Diag1q, ShmOp::Kind::Perm1q,
+        ShmOp::Kind::Perm2q, ShmOp::Kind::General})
+    EXPECT_TRUE(kinds.count(k)) << "no op of kind " << static_cast<int>(k);
+  for (Index run : {1, 2, 4, 8})
+    EXPECT_TRUE(runs.count(run)) << "no op with run " << run;
+}
 
 TEST(FastPathClassification, PicksTheExpectedPaths) {
   const auto path_of = [](const Gate& g) {

@@ -42,7 +42,8 @@ TEST(DistState, ScatterGatherRoundTrip) {
 
 TEST(DistState, ZeroStateHasUnitAmplitudeAtZero) {
   const auto layout = layout_for({2, 0, 1, 3}, 2);
-  const exec::DistState st = exec::DistState::zero_state(layout);
+  ThreadPool pool(2);
+  const exec::DistState st = exec::DistState::zero_state(layout, pool);
   const StateVector sv = st.gather();
   EXPECT_EQ(sv[0], Amp(1, 0));
   EXPECT_NEAR(sv.norm_sq(), 1.0, kTol);

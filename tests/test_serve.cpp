@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cmath>
 #include <fcntl.h>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -71,6 +73,61 @@ std::string concrete_qasm() {
          "cx q[1],q[2];\n"
          "rx(0.7) q[3];\n"
          "cx q[2],q[3];\n";
+}
+
+/// A dispatcher item that holds the worker running it until the test
+/// opens the gate, so tests order work without relying on timing.
+/// Single use; the destructor opens it, so a failed check cannot wedge
+/// the server's drain. The item shares the gate's state, so it may run
+/// after the WorkerGate is gone.
+class WorkerGate {
+ public:
+  WorkerGate() = default;
+  WorkerGate(const WorkerGate&) = delete;
+  WorkerGate& operator=(const WorkerGate&) = delete;
+  ~WorkerGate() { open(); }
+
+  /// Queues the gate item under its own tenant.
+  void enqueue(Dispatcher& dispatcher) {
+    dispatcher.enqueue_internal("gate", [s = state_] {
+      std::unique_lock<std::mutex> lock(s->mu);
+      s->running = true;
+      s->cv.notify_all();
+      s->cv.wait(lock, [&] { return s->open; });
+    });
+  }
+  /// Blocks until a worker holds the gate.
+  void wait_running() {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock, [this] { return state_->running; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->open = true;
+    }
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool running = false;
+    bool open = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
+/// Polls until `tenant` has at least `n` items queued at the dispatcher.
+void wait_queued(Server& server, const std::string& tenant, std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.dispatcher().queued(tenant) < n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << tenant << " never had " << n << " items queued";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 // --- end-to-end round trip vs in-process ------------------------------
@@ -336,8 +393,12 @@ TEST(Serve, RefusedRequestsDoNotFreeAnotherRequestsSlot) {
   // tenant anyway, decrementing the slot held by the *admitted*
   // request — so each refusal admitted the next pipelined request and
   // the bound leaked away under exactly the pressure it exists for.
-  // Refusals must leave admission accounting untouched: while the
-  // sweep holds the only slot, every follow-up run is refused.
+  // Refusals must leave admission accounting untouched: while `holder`
+  // holds the only slot, every follow-up run is refused.
+  //
+  // The slot holder does not depend on timing: an internal item gates
+  // the only worker until the test opens it, so `holder` stays queued
+  // (in flight) until every follow-up has been handled.
   ServerConfig cfg = test_server_config();
   cfg.workers = 1;
   cfg.max_pending_per_tenant = 1;
@@ -351,38 +412,32 @@ TEST(Serve, RefusedRequestsDoNotFreeAnotherRequestsSlot) {
   const SubmitReply submitted = client.submit_qasm(sid, ansatz_qasm());
   const CompileReply compiled = client.compile(sid, submitted.circuit_id);
 
-  constexpr int kPoints = 256;
-  WireWriter sweep_body;
-  sweep_body.u32(compiled.compiled_id);
-  sweep_body.u32(kPoints);
-  sweep_body.u32(1);
-  for (int i = 0; i < kPoints; ++i) sweep_body.f64(0.003 * i);
+  WorkerGate gate;
+  gate.enqueue(server.dispatcher());
+  gate.wait_running();
+
   WireWriter run_body;
   run_body.u32(compiled.compiled_id);
   run_body.u32(1);
   run_body.f64(0.5);
-
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    const std::uint64_t sweep_req =
-        client.post(Op::sweep, sid, sweep_body.bytes());
-    const std::uint64_t first = client.post(Op::run, sid, run_body.bytes());
-    const std::uint64_t second = client.post(Op::run, sid, run_body.bytes());
-    const std::uint64_t third = client.post(Op::run, sid, run_body.bytes());
-    const Status s1 = client.wait_status(first);
-    const Status s2 = client.wait_status(second);
-    const Status s3 = client.wait_status(third);
-    EXPECT_EQ(client.wait_status(sweep_req), Status::ok);
-    if (s1 != Status::capacity) continue;  // sweep finished early; retry
-    // The reader refused `first` microseconds before handling `second`
-    // and `third`, with the 256-point sweep still occupying the slot.
-    // With the leak, refusing `first` freed the sweep's slot and
-    // `second` sailed through mid-sweep.
-    EXPECT_EQ(s2, Status::capacity);
-    EXPECT_EQ(s3, Status::capacity);
-    server.stop();
-    return;
-  }
-  server.stop();  // never contended (vanishingly unlikely); nothing to assert
+  const std::uint64_t holder = client.post(Op::run, sid, run_body.bytes());
+  const std::uint64_t first = client.post(Op::run, sid, run_body.bytes());
+  const std::uint64_t second = client.post(Op::run, sid, run_body.bytes());
+  const std::uint64_t third = client.post(Op::run, sid, run_body.bytes());
+  // The reader handles frames in order and answers refusals itself, so
+  // once `third` is answered, `first` and `second` have been handled
+  // too — all while `holder` was queued behind the gate. (With the leak,
+  // refusing `first` freed the holder's slot and `second` was admitted;
+  // it then waits behind the gate, so `third` is the one to wait on.)
+  const Status s3 = client.wait_status(third);
+  const Status s1 = client.wait_status(first);
+  gate.open();
+  const Status s2 = client.wait_status(second);
+  EXPECT_EQ(s1, Status::capacity);
+  EXPECT_EQ(s2, Status::capacity);
+  EXPECT_EQ(s3, Status::capacity);
+  EXPECT_EQ(client.wait_status(holder), Status::ok);
+  server.stop();
 }
 
 TEST(Serve, DispatcherRunsTicketInlineWhenPoolIsDraining) {
@@ -426,8 +481,13 @@ TEST(Serve, WriteAllTimesOutWhenPeerStopsReading) {
 
 TEST(Serve, RoundRobinKeepsSmallTenantAheadOfBigSweep) {
   // One worker: with FIFO scheduling, bob's single run would wait for
-  // the whole 48-point sweep alice enqueued first. Round-robin across
+  // the whole 400-point sweep alice enqueued first. Round-robin across
   // tenant queues admits bob's run after at most one in-progress point.
+  //
+  // Gates order the work instead of timing: the sweep fans its points
+  // out, and only then does bob post; after bob's run a gate holds the
+  // worker, so alice's remaining points stay queued until bob has
+  // looked at them.
   ServerConfig cfg = test_server_config();
   cfg.workers = 1;
   Server server(cfg);
@@ -447,53 +507,59 @@ TEST(Serve, RoundRobinKeepsSmallTenantAheadOfBigSweep) {
   const SubmitReply sub_b = bob.submit_qasm(sb, ansatz_qasm());
   const CompileReply cc_b = bob.compile(sb, sub_b.circuit_id);
 
-  // Post the big sweep first (pipelined, not waited). 400 points keeps
-  // the single worker busy long past bob's round trip.
   constexpr int kPoints = 400;
   WireWriter sweep_body;
   sweep_body.u32(cc_a.compiled_id);
   sweep_body.u32(kPoints);
   sweep_body.u32(1);
   for (int i = 0; i < kPoints; ++i) sweep_body.f64(0.002 * i);
+
+  // Hold the worker while the sweep is admitted, queue a second gate
+  // behind it, then let the worker fan the sweep out into its points
+  // and stop at the second gate.
+  WorkerGate before_fan_out, after_fan_out, after_bob;
+  before_fan_out.enqueue(server.dispatcher());
+  before_fan_out.wait_running();
   const std::uint64_t sweep_req =
       alice.post(Op::sweep, sa, sweep_body.bytes());
+  wait_queued(server, "alice", 1);
+  after_fan_out.enqueue(server.dispatcher());
+  before_fan_out.open();
+  after_fan_out.wait_running();
+  ASSERT_EQ(server.dispatcher().queued("alice"),
+            static_cast<std::size_t>(kPoints));
 
-  // Wait until the worker is observably chewing on alice's queue, then
-  // issue bob's single run and *block* on it.
-  const auto poll_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    std::size_t queued = 0;
-    for (const auto& info : bob.list_sessions()) {
-      if (info.tenant == "alice") queued = info.queued;
-    }
-    if (queued > 0) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline)
-        << "sweep never became visible in alice's queue";
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Bob's run joins the ring behind alice's points; a third gate joins
+  // behind bob. Round-robin serves one alice point, then bob, then
+  // stops at the gate.
   const auto t0 = std::chrono::steady_clock::now();
-  const RunReply run_b = bob.run(sb, cc_b.compiled_id, {0.5});
+  const std::uint64_t run_req =
+      bob.post(Op::run, sb, [&] {
+        WireWriter w;
+        w.u32(cc_b.compiled_id);
+        w.u32(1);
+        w.f64(0.5);
+        return w.bytes();
+      }());
+  wait_queued(server, "bob", 1);
+  after_bob.enqueue(server.dispatcher());
+  after_fan_out.open();
+  EXPECT_EQ(bob.wait_status(run_req), Status::ok);
   const auto bob_done = std::chrono::steady_clock::now();
-  EXPECT_GT(run_b.norm_sq, 0.9);
 
-  // Completion-order assertion: at the moment bob's run completed,
-  // alice's sweep must still have points queued — bob did not wait for
-  // the sweep to finish.
-  std::size_t alice_queued_at_bob_done = 0;
-  for (const auto& info : bob.list_sessions()) {
-    if (info.tenant == "alice") alice_queued_at_bob_done = info.queued;
-  }
+  // Completion-order assertion: when bob's run completed, alice's sweep
+  // still had points queued — bob did not wait for the sweep to finish.
+  const std::size_t alice_queued_at_bob_done =
+      server.dispatcher().queued("alice");
   EXPECT_GT(alice_queued_at_bob_done, 0u)
       << "bob's run should complete while alice's sweep is still queued";
 
+  after_bob.open();
   EXPECT_EQ(alice.wait_status(sweep_req), Status::ok);
   const auto sweep_done = std::chrono::steady_clock::now();
   EXPECT_LT(bob_done - t0, sweep_done - t0);
   server.stop();
 }
-
-// --- cross-tenant plan sharing ----------------------------------------
 
 TEST(Serve, TwoTenantsSameCircuitShareOnePlan) {
   Server server(test_server_config());
