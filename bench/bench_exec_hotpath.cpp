@@ -38,6 +38,7 @@
 #include "exec/partial_eval.h"
 #include "exec/stage_program.h"
 #include "sim/apply.h"
+#include "sim/reference.h"
 #include "sim/shm_executor.h"
 #include "util.h"
 
@@ -242,53 +243,7 @@ PairResult time_pair(const std::vector<Amp>& initial,
   return out;
 }
 
-// --- Shared-memory replay before the split re/im layout -----------------
-
-/// A shared-memory kernel as the interleaved replay ran it: active bits,
-/// gather map and the members prepared at scratch positions.
-struct InterleavedShm {
-  std::vector<int> active;
-  std::vector<Index> offset;
-  std::vector<PreparedGate> gates;
-};
-
-InterleavedShm prepare_interleaved_shm(const std::vector<MatrixOp>& ops) {
-  InterleavedShm k;
-  k.active = {0, 1, 2};
-  for (const MatrixOp& op : ops) {
-    k.active.insert(k.active.end(), op.targets.begin(), op.targets.end());
-    k.active.insert(k.active.end(), op.controls.begin(), op.controls.end());
-  }
-  std::sort(k.active.begin(), k.active.end());
-  k.active.erase(std::unique(k.active.begin(), k.active.end()),
-                 k.active.end());
-  const Index batch = Index{1} << k.active.size();
-  for (Index v = 0; v < batch; ++v)
-    k.offset.push_back(spread_bits(v, k.active));
-  const std::vector<int> pos = inverse_index(k.active);
-  for (const MatrixOp& op : ops) {
-    MatrixOp local{op.m, {}, {}};
-    for (int b : op.targets) local.targets.push_back(pos[b]);
-    for (int b : op.controls) local.controls.push_back(pos[b]);
-    k.gates.push_back(prepare_gate(local));
-  }
-  return k;
-}
-
-/// The replay loop before the split layout: gather the batch as
-/// interleaved complex values, apply_prepared() per member, scatter.
-void run_interleaved_shm(Amp* data, Index size, const InterleavedShm& k,
-                         std::vector<Amp>& scratch) {
-  const Index batch = Index{1} << k.active.size();
-  scratch.resize(batch);
-  Amp* shm = scratch.data();
-  for (Index b = 0; b < (size >> k.active.size()); ++b) {
-    const Index base = insert_zero_bits(b, k.active);
-    for (Index v = 0; v < batch; ++v) shm[v] = data[base | k.offset[v]];
-    for (const PreparedGate& g : k.gates) apply_prepared(shm, batch, g);
-    for (Index v = 0; v < batch; ++v) data[base | k.offset[v]] = shm[v];
-  }
-}
+// --- Shm roofline: run-large kernels vs the interleaved replay ----------
 
 /// One run-large shared-memory kernel as shard 0 replays it: the
 /// program the stage walk binds, and the same members resolved from the

@@ -277,6 +277,13 @@ Index run_shm_program(Amp* data, Index size, const ShmProgram& prog,
                       std::vector<Amp>& scratch) {
   const int a = static_cast<int>(prog.active.size());
   const Index batch = Index{1} << a;
+  // The gather/scatter below copies 8-amplitude runs; without bits 0-2
+  // active it would run past the `batch`-Amp scratch.
+  ATLAS_CHECK(a >= 3 && prog.active[0] == 0 && prog.active[1] == 1 &&
+                  prog.active[2] == 2 &&
+                  prog.offset.size() == static_cast<std::size_t>(batch),
+              "shm program: active bits must start with 0-2 and the "
+              "offset table must hold 2^" << a << " entries");
   const Index num_batches = size >> a;
   const bool has_general =
       std::any_of(prog.ops.begin(), prog.ops.end(), [](const ShmOp& op) {

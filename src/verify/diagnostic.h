@@ -68,6 +68,9 @@ enum class Code {
   non_cptp = 19,            ///< sum K†K deviates from I over tolerance
   kraus_shape = 20,         ///< Kraus operator not square 2^arity
   readout_not_stochastic = 21,  ///< confusion row outside [0, 1]
+  // --- Stage-program invariants, continued ---
+  shm_runs_invalid = 22,  ///< shm active bits do not start with 0-2, or
+                          ///< the offset table breaks the 8-amp runs
 };
 
 /// Stable lowercase name of `code` ("qubit_out_of_range", ...).

@@ -48,6 +48,7 @@ const char* code_name(Code code) {
     case Code::non_cptp: return "non_cptp";
     case Code::kraus_shape: return "kraus_shape";
     case Code::readout_not_stochastic: return "readout_not_stochastic";
+    case Code::shm_runs_invalid: return "shm_runs_invalid";
   }
   return "?";
 }
@@ -595,6 +596,27 @@ VerifyReport verify_stage_program(const exec::StageProgram& program,
                 " active bits (want " + std::to_string(batch) + ")",
             -1, -1, kid);
         continue;
+      }
+      // The replay gathers and scatters 8-amplitude runs: bits 0-2 must
+      // be active, and offset[v + l] == offset[v] + l for l < 8.
+      if (shm.active.size() < 3 || shm.active[0] != 0 ||
+          shm.active[1] != 1 || shm.active[2] != 2) {
+        add(report, Code::shm_runs_invalid,
+            "active bits do not start with the always-active bits 0-2",
+            -1, -1, kid);
+      } else {
+        for (std::size_t i = 0; i < batch; ++i) {
+          const std::size_t lane = i & 7;
+          if (shm.offset[i] % 8 != lane ||
+              shm.offset[i] != shm.offset[i - lane] + lane) {
+            add(report, Code::shm_runs_invalid,
+                "gather offset " + std::to_string(shm.offset[i]) +
+                    " at index " + std::to_string(i) +
+                    " breaks its 8-amplitude run",
+                -1, -1, kid);
+            break;
+          }
+        }
       }
       std::unordered_set<Index> seen;
       for (Index off : shm.offset) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bits.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "ir/gate.h"
 #include "sim/apply.h"
@@ -177,40 +178,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FastPathTest, ::testing::Range(1, 9));
 
 // --- Split re/im shared-memory replay vs the interleaved per-gate loop --
 
-/// The shared-memory replay before the split layout: each batch is
-/// gathered as interleaved complex values, every member runs through
-/// apply_prepared() at its scratch positions, and the batch is
-/// scattered back. run_shm_program must match it bit for bit.
-void interleaved_shm_replay(std::vector<Amp>& data,
-                            const std::vector<MatrixOp>& ops) {
-  std::vector<int> active = {0, 1, 2};
-  for (const MatrixOp& op : ops) {
-    active.insert(active.end(), op.targets.begin(), op.targets.end());
-    active.insert(active.end(), op.controls.begin(), op.controls.end());
-  }
-  std::sort(active.begin(), active.end());
-  active.erase(std::unique(active.begin(), active.end()), active.end());
-  const std::vector<int> pos = inverse_index(active);
-  std::vector<PreparedGate> gates;
-  for (const MatrixOp& op : ops) {
-    MatrixOp local{op.m, {}, {}};
-    for (int b : op.targets) local.targets.push_back(pos[b]);
-    for (int b : op.controls) local.controls.push_back(pos[b]);
-    gates.push_back(prepare_gate(local));
-  }
-  const Index batch = Index{1} << active.size();
-  std::vector<Index> offset(batch);
-  for (Index v = 0; v < batch; ++v) offset[v] = spread_bits(v, active);
-  std::vector<Amp> shm(batch);
-  for (Index b = 0; b < (static_cast<Index>(data.size()) >> active.size());
-       ++b) {
-    const Index base = insert_zero_bits(b, active);
-    for (Index v = 0; v < batch; ++v) shm[v] = data[base | offset[v]];
-    for (const PreparedGate& g : gates) apply_prepared(shm.data(), batch, g);
-    for (Index v = 0; v < batch; ++v) data[base | offset[v]] = shm[v];
-  }
-}
-
 /// A component that is often an exact zero of either sign, so sign-of-
 /// zero differences (e.g. a dropped `0.0 +` accumulator start) show.
 double sparse_component(Rng& rng) {
@@ -284,6 +251,7 @@ MatrixOp random_shm_member(Rng& rng, const std::vector<int>& pool,
 TEST(ShmSplitLayout, MatchesInterleavedPerGateReplayBitForBit) {
   Rng rng(0x5417);
   std::vector<Amp> scratch;  // reused across programs, like a shard worker
+  std::vector<Amp> ref_scratch;
   std::set<int> active_sizes;
   std::set<ShmOp::Kind> kinds;
   std::set<Index> runs;  // 2^(lowest op bit) of the in-buffer ops
@@ -311,7 +279,8 @@ TEST(ShmSplitLayout, MatchesInterleavedPerGateReplayBitForBit) {
 
     const ShmProgram prog = compile_shm_program(ops);
     run_shm_program(a.data(), static_cast<Index>(a.size()), prog, scratch);
-    interleaved_shm_replay(b, ops);
+    run_interleaved_shm(b.data(), static_cast<Index>(b.size()),
+                        prepare_interleaved_shm(ops), ref_scratch);
     ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Amp)), 0)
         << "trial " << trial << ": " << prog.active.size()
         << " active bits, " << ops.size() << " members";
@@ -335,6 +304,18 @@ TEST(ShmSplitLayout, MatchesInterleavedPerGateReplayBitForBit) {
     EXPECT_TRUE(kinds.count(k)) << "no op of kind " << static_cast<int>(k);
   for (Index run : {1, 2, 4, 8})
     EXPECT_TRUE(runs.count(run)) << "no op with run " << run;
+}
+
+TEST(ShmSplitLayout, RejectsProgramsWithoutTheLowRun) {
+  // The replay copies 8-amplitude runs; a hand-built program whose
+  // active bits miss 0-2 would overrun its scratch, so it is refused.
+  ShmProgram prog;
+  prog.active = {0};
+  prog.offset = {0, 1};
+  std::vector<Amp> data(8), scratch;
+  EXPECT_THROW(run_shm_program(data.data(), 8, prog, scratch), Error);
+  prog.active = {0, 1, 2};  // offset table too short for 3 active bits
+  EXPECT_THROW(run_shm_program(data.data(), 8, prog, scratch), Error);
 }
 
 TEST(FastPathClassification, PicksTheExpectedPaths) {

@@ -544,8 +544,12 @@ TEST(Serve, RoundRobinKeepsSmallTenantAheadOfBigSweep) {
   wait_queued(server, "bob", 1);
   after_bob.enqueue(server.dispatcher());
   after_fan_out.open();
-  EXPECT_EQ(bob.wait_status(run_req), Status::ok);
+  std::vector<std::uint8_t> run_body;
+  ASSERT_EQ(bob.wait_status(run_req, &run_body), Status::ok);
   const auto bob_done = std::chrono::steady_clock::now();
+  WireReader run_reader(run_body);
+  const RunReply run_b = RunReply::decode(run_reader);
+  EXPECT_GT(run_b.norm_sq, 0.9);
 
   // Completion-order assertion: when bob's run completed, alice's sweep
   // still had points queued — bob did not wait for the sweep to finish.
@@ -560,6 +564,8 @@ TEST(Serve, RoundRobinKeepsSmallTenantAheadOfBigSweep) {
   EXPECT_LT(bob_done - t0, sweep_done - t0);
   server.stop();
 }
+
+// --- cross-tenant plan sharing ----------------------------------------
 
 TEST(Serve, TwoTenantsSameCircuitShareOnePlan) {
   Server server(test_server_config());

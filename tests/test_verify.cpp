@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "circuits/families.h"
+#include "common/bits.h"
 #include "core/pipeline.h"
 #include "exec/executor.h"
 #include "exec/stage_program.h"
@@ -23,6 +24,7 @@
 #include "kernelize/kernelizer.h"
 #include "noise/channel.h"
 #include "noise/model.h"
+#include "sim/shm_executor.h"
 #include "staging/registry.h"
 #include "staging/stage.h"
 #include "verify/verify.h"
@@ -244,6 +246,53 @@ TEST(VerifyStageProgram, GatherTableExceedsShardBounds) {
       std::make_shared<const exec::KernelProgram>(std::move(kp)));
   const auto report = verify::verify_stage_program(program, 2, 2);
   EXPECT_TRUE(has_code(report, Code::gather_not_bijective));
+}
+
+/// A stage program holding one Shm kernel whose single variant is `shm`.
+exec::StageProgram one_shm_kernel(ShmProgram shm) {
+  exec::StageProgram program;
+  exec::KernelProgram kp;
+  kp.variants.resize(1);
+  kp.variants[0].op = exec::KernelVariant::Op::Shm;
+  kp.variants[0].shm = std::move(shm);
+  program.kernels.push_back(
+      std::make_shared<const exec::KernelProgram>(std::move(kp)));
+  return program;
+}
+
+TEST(VerifyStageProgram, CompiledShmProgramIsClean) {
+  MatrixOp h;
+  h.m = Gate::h(0).target_matrix();
+  h.targets = {4};
+  const ShmSkeleton skel = compile_shm_skeleton({h});
+  const ShmProgram shm = bind_shm_program(skel, {&h.m});
+  ASSERT_EQ(shm.active, (std::vector<int>{0, 1, 2, 4}));
+  const auto report = verify::verify_stage_program(one_shm_kernel(shm), 5, 0);
+  EXPECT_TRUE(clean(report)) << report.to_string();
+}
+
+TEST(VerifyStageProgram, ShmActiveBitsMissTheLowRun) {
+  // A bijective table over bits {0, 1, 3}: the replay's 8-amplitude
+  // gather would read past the 8-Amp scratch and the table's bit 2.
+  ShmProgram shm;
+  shm.active = {0, 1, 3};
+  for (Index v = 0; v < 8; ++v) shm.offset.push_back(spread_bits(v, shm.active));
+  const auto report = verify::verify_stage_program(one_shm_kernel(shm), 4, 0);
+  EXPECT_TRUE(has_code(report, Code::shm_runs_invalid));
+  EXPECT_FALSE(has_code(report, Code::gather_not_bijective));
+}
+
+TEST(VerifyStageProgram, ShmOffsetTableBreaksAnEightAmpRun) {
+  // Bits 0-2 are active and the table is a bijection, but two entries
+  // of the first run are swapped, so copying whole runs would misplace
+  // them.
+  ShmProgram shm;
+  shm.active = {0, 1, 2, 3};
+  for (Index v = 0; v < 16; ++v) shm.offset.push_back(spread_bits(v, shm.active));
+  std::swap(shm.offset[1], shm.offset[2]);
+  const auto report = verify::verify_stage_program(one_shm_kernel(shm), 4, 0);
+  EXPECT_TRUE(has_code(report, Code::shm_runs_invalid));
+  EXPECT_FALSE(has_code(report, Code::gather_not_bijective));
 }
 
 // --- noise invariants ---------------------------------------------------
